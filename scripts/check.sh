@@ -43,6 +43,19 @@ for c in d["cells"]:
     assert c["good_per_sec"] > 0, c
 EOF
 
+echo "== read-path gate: read-ahead must beat no read-ahead on a cold sync =="
+# A ratio, not an absolute time: at 50 us links, a cold Sync with batch 32
+# must take at most half the time of the unbatched (batch 1) walk.
+cmake --build "$ROOT/build" -j "$JOBS" --target fig_readpath
+"$ROOT/build/bench/fig_readpath" --entries=400 --obs-reps=1 \
+  --json="$ROOT/build/bench-readpath-gate.json"
+python3 - "$ROOT/build/bench-readpath-gate.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+sync = {c["batch"]: c["sync_ms"] for c in d["cells"] if c["latency_us"] == 50}
+assert sync[32] <= 0.5 * sync[1], "cold sync at 50 us (ms by batch): %s" % sync
+EOF
+
 echo "== tier-2: ASan/UBSan build + ctest =="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DCMAKE_BUILD_TYPE=Asan
 cmake --build "$ROOT/build-asan" -j "$JOBS"

@@ -1,6 +1,7 @@
 #include "src/corfu/stream.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/util/logging.h"
 #include "src/util/threading.h"
@@ -71,9 +72,23 @@ void StreamStore::CacheInsert(LogOffset offset,
 void StreamStore::ClearEntryCache() {
   cache_.clear();
   lru_.clear();
+  apf_next_ = 0;
 }
 
-void StreamStore::PrefetchOffsets(const std::vector<LogOffset>& offsets) {
+bool StreamStore::Cacheable(const LogEntry& entry) const {
+  if (entry.is_junk()) {
+    return true;
+  }
+  for (const StreamHeader& header : entry.headers) {
+    if (streams_.contains(header.stream)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void StreamStore::PrefetchOffsets(const std::vector<LogOffset>& offsets,
+                                  bool speculative) {
   if (offsets.empty()) {
     return;
   }
@@ -86,11 +101,28 @@ void StreamStore::PrefetchOffsets(const std::vector<LogOffset>& offsets) {
   }
   for (size_t i = 0; i < offsets.size(); ++i) {
     CorfuClient::BatchedRead& slot = (*batch)[i];
-    if (slot.status.ok()) {
+    if (slot.status.ok() && (!speculative || Cacheable(slot.entry))) {
       CacheInsert(offsets[i],
                   std::make_shared<const LogEntry>(std::move(slot.entry)));
     }
   }
+}
+
+void StreamStore::ReadWindow(LogOffset lo, LogOffset hi,
+                             const std::vector<LogOffset>& members,
+                             bool speculative) {
+  std::vector<LogOffset> wanted;
+  for (LogOffset o = hi + 1; o-- > lo;) {
+    if (!cache_.contains(o)) {
+      wanted.push_back(o);
+    }
+  }
+  for (LogOffset o : members) {
+    if (o < lo && !cache_.contains(o)) {
+      wanted.push_back(o);
+    }
+  }
+  PrefetchOffsets(wanted, speculative);
 }
 
 void StreamStore::Prefetch(LogOffset offset, PrefetchDirection direction) {
@@ -114,7 +146,7 @@ void StreamStore::Prefetch(LogOffset offset, PrefetchDirection direction) {
       }
     }
   }
-  PrefetchOffsets(wanted);
+  PrefetchOffsets(wanted, /*speculative=*/false);
 }
 
 void StreamStore::StartAsyncPrefetch(LogOffset from, LogOffset limit,
@@ -130,15 +162,19 @@ void StreamStore::StartAsyncPrefetch(LogOffset from, LogOffset limit,
   }
   DrainAsyncPrefetch(/*wait=*/false);  // fold in a landed batch first
 
+  // Examine at most `readahead` known offsets, resuming where the previous
+  // call stopped: an all-cached replay then costs O(readahead) per entry
+  // instead of a walk over every remaining known offset.
   std::vector<LogOffset> wanted;
   wanted.reserve(options_.readahead);
-  for (auto it = known_offsets_.lower_bound(from);
-       it != known_offsets_.end() && *it < limit &&
-       wanted.size() < options_.readahead;
-       ++it) {
+  auto it = known_offsets_.lower_bound(std::max(from, apf_next_));
+  for (size_t examined = 0; it != known_offsets_.end() && *it < limit &&
+                            examined < options_.readahead;
+       ++it, ++examined) {
     if (!cache_.contains(*it)) {
       wanted.push_back(*it);
     }
+    apf_next_ = *it + 1;
   }
   if (wanted.empty()) {
     return;
@@ -235,47 +271,73 @@ Result<std::shared_ptr<const LogEntry>> StreamStore::FetchEntry(
   return shared;
 }
 
+LogOffset StreamStore::WindowWidth(
+    const std::vector<LogOffset>& frontier) const {
+  const uint64_t n = frontier.size();
+  if (n < 2) {
+    return 0;
+  }
+  // g = span / (n - 1), the mean spacing of the frontier backpointers: the
+  // stream's measured density near the frontier.
+  const uint64_t span = frontier.front() - frontier.back();
+  const uint64_t width =
+      std::min(options_.readahead * span / (n - 1), 4 * options_.readahead);
+  // W / g <= K: the window would hold no more members than the frontier.
+  return width * (n - 1) <= n * span ? 0 : width;
+}
+
 Status StreamStore::Backfill(StreamId stream, StreamState& state,
                              const StreamTail& latest) {
-  const bool have_floor = !state.offsets.empty();
-  const LogOffset floor = have_floor ? state.offsets.back() : 0;
-
-  auto is_new = [&](LogOffset o) {
-    return o != kInvalidOffset && (!have_floor || o > floor);
+  // Positions below `first` are already known (or precede the stream).
+  const LogOffset first = state.offsets.empty() ? 0 : state.offsets.back() + 1;
+  const bool batched = options_.readahead > 1;
+  // Lowest position of a `width`-position window whose top is `top`.
+  auto bottom = [first](LogOffset top, LogOffset width) {
+    return std::max(first, top + 1 > width ? top + 1 - width : 0);
   };
+  // Positions from `unread` up were already covered by a window read of
+  // this walk; later (older) frontiers only need what lies below it.
+  LogOffset unread = kInvalidOffset;
 
   std::vector<LogOffset> discovered;
   std::vector<LogOffset> chain(latest.begin(), latest.end());
+  std::vector<LogOffset> frontier;
   while (true) {
-    LogOffset oldest = kInvalidOffset;
-    bool any = false;
+    frontier.clear();
     for (LogOffset o : chain) {
-      if (!is_new(o)) {
-        continue;
-      }
-      discovered.push_back(o);
-      any = true;
-      if (oldest == kInvalidOffset || o < oldest) {
-        oldest = o;
+      if (o != kInvalidOffset && o >= first) {
+        frontier.push_back(o);
       }
     }
-    if (!any) {
+    if (frontier.empty()) {
       break;  // reached known territory or the start of the stream
     }
+    std::sort(frontier.begin(), frontier.end(), std::greater<>());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    discovered.insert(discovered.end(), frontier.begin(), frontier.end());
+    const LogOffset oldest = frontier.back();
 
-    // Stride: one read yields the next K backpointers.
-    if (options_.readahead > 1) {
-      // Vectored stride: every new frontier offset is a stream member the
-      // replay will need anyway, so fetch the whole frontier in one round
-      // trip and let the stride read below hit the cache.
-      std::vector<LogOffset> frontier;
-      for (LogOffset o : chain) {
-        if (is_new(o) && !cache_.contains(o)) {
-          frontier.push_back(o);
+    // Stride: one read yields the next K backpointers.  When the frontier
+    // misses the cache, one batch covers many strides: every uncached
+    // position in a window of W below the newest missing member (W sized
+    // from the stream's density), plus the frontier members below it.
+    // Backpointers stay the only source of membership; the window only
+    // fills the cache, and never fills a hole.
+    if (batched) {
+      auto missing =
+          std::find_if(frontier.begin(), frontier.end(), [&](LogOffset o) {
+            return o < unread && !cache_.contains(o);
+          });
+      if (missing != frontier.end()) {
+        const LogOffset hi = *missing;
+        const LogOffset width = WindowWidth(frontier);
+        LogOffset lo = hi + 1;  // width 0: read exactly the frontier
+        if (width > 0) {
+          lo = bottom(hi, width);
+          unread = lo;
         }
-      }
-      if (frontier.size() > 1) {
-        PrefetchOffsets(frontier);
+        ReadWindow(lo, hi, frontier, /*speculative=*/true);
       }
     }
     ++reconstruction_reads_;
@@ -295,31 +357,14 @@ Status StreamStore::Backfill(StreamId stream, StreamState& state,
 
     // Dead end: the frontier entry is junk (a filled hole carries no
     // backpointers).  Fall back to scanning the log backward until we
-    // reconnect with known territory (§5, Failure Handling).  The scan
-    // walks raw log offsets, so it prefetches fixed-size descending chunks
-    // rather than known-offset runs.
-    LogOffset scan = oldest;
-    LogOffset batched_floor = oldest;  // offsets in [batched_floor, oldest)
-                                       // were already batch-read
-    while (scan > 0) {
-      --scan;
-      if (have_floor && scan <= floor) {
-        break;
-      }
-      if (options_.readahead > 1 && scan < batched_floor) {
-        LogOffset lo =
-            scan + 1 > options_.readahead ? scan + 1 - options_.readahead : 0;
-        if (have_floor && lo <= floor) {
-          lo = floor + 1;
-        }
-        std::vector<LogOffset> chunk;
-        for (LogOffset o = scan + 1; o-- > lo;) {
-          if (!cache_.contains(o)) {
-            chunk.push_back(o);
-          }
-        }
-        PrefetchOffsets(chunk);
-        batched_floor = lo;
+    // reconnect with known territory (§5, Failure Handling).  Every scanned
+    // position is demanded, so the same descending-window reader caches
+    // all of them, `readahead` positions per batch.
+    LogOffset window_lo = oldest;
+    for (LogOffset scan = oldest; scan-- > first;) {
+      if (batched && scan < window_lo) {
+        window_lo = bottom(scan, options_.readahead);
+        ReadWindow(window_lo, scan, {}, /*speculative=*/false);
       }
       ++reconstruction_reads_;
       obs_backfill_reads_->Add();
@@ -344,6 +389,7 @@ Status StreamStore::Backfill(StreamId stream, StreamState& state,
     state.offsets.insert(state.offsets.end(), discovered.begin(),
                          discovered.end());
     known_offsets_.insert(discovered.begin(), discovered.end());
+    apf_next_ = std::min(apf_next_, discovered.front());
   }
   return Status::Ok();
 }

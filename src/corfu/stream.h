@@ -3,8 +3,12 @@
 // A stream's metadata is a client-side linked list of the log offsets that
 // belong to it.  The list is built lazily by asking the sequencer for the
 // stream's last K offsets and striding *backward* through the K-redundant
-// backpointers stored in each entry's stream header — N/K random reads for a
-// stream with N unseen entries.  Junk entries (filled holes) carry no
+// backpointers stored in each entry's stream header — N/K logical reads for
+// a stream with N unseen entries.  With read-ahead on, those reads take about
+// span/W round trips (span = the log range the N entries cover): when a
+// stride's frontier misses the cache, one batched read covers a window of W
+// positions below it, W sized from the stream's measured density, so one
+// round trip serves many strides.  Junk entries (filled holes) carry no
 // backpointers; when every pointer out of the frontier dead-ends in junk, the
 // reader falls back to scanning the log backward offset-by-offset, exactly as
 // the paper prescribes.
@@ -135,9 +139,11 @@ class StreamStore {
       LogOffset offset,
       PrefetchDirection direction = PrefetchDirection::kForward);
 
-  // Launches a background batched read of the next Options::readahead
-  // uncached known offsets in [from, limit) on `executor`, so the fetch of
-  // the next playback window overlaps the apply of the current one.  The
+  // Launches a background batched read of the uncached offsets among the
+  // next Options::readahead known offsets in [from, limit) on `executor`,
+  // so the fetch of the next playback window overlaps the apply of the
+  // current one.  Each call examines at most readahead offsets, resuming
+  // past those an earlier call already examined.  The
   // `limit` bound is the caller's playback horizon: offsets beyond it belong
   // to a future playback round and must still cross the transport then (a
   // failed fetch has to surface there, not be masked by a stale prefetch).
@@ -199,8 +205,27 @@ class StreamStore {
   // Holes/trims degrade per offset and are simply not cached.
   void Prefetch(LogOffset offset, PrefetchDirection direction);
 
-  // Batch-reads `offsets`, caching every page that decodes (best effort).
-  void PrefetchOffsets(const std::vector<LogOffset>& offsets);
+  // Batch-reads `offsets` in one ReadBatch (best effort; holes are reported,
+  // never filled).  Every entry that decodes is cached, except that a
+  // `speculative` read caches only entries that are Cacheable.
+  void PrefetchOffsets(const std::vector<LogOffset>& offsets,
+                       bool speculative);
+
+  // Whether a speculatively read entry may enter the cache: junk, or
+  // carrying a header of an opened stream.  Foreign entries a window read
+  // happens to cover must not crowd the LRU.
+  bool Cacheable(const LogEntry& entry) const;
+
+  // Backfill's one read mode: batch-reads every uncached position in
+  // [lo, hi], highest first, plus the uncached `members` below lo.
+  void ReadWindow(LogOffset lo, LogOffset hi,
+                  const std::vector<LogOffset>& members, bool speculative);
+
+  // Width W of Backfill's window below a frontier (its new member offsets,
+  // distinct, newest first): min(readahead * g, 4 * readahead), where g is
+  // the frontier's mean spacing.  0 when the window would hold no more than
+  // the frontier's K members (a sparse stream): read exactly the frontier.
+  LogOffset WindowWidth(const std::vector<LogOffset>& frontier) const;
 
   CorfuClient* log_;
   Options options_;
@@ -234,6 +259,9 @@ class StreamStore {
     std::vector<CorfuClient::BatchedRead> results;
   };
   std::vector<LogOffset> apf_offsets_;  // request of the in-flight batch
+  // Known offsets below this were already examined by an async scan; the
+  // next scan resumes here (lowered when Backfill discovers older offsets).
+  LogOffset apf_next_ = 0;
   AsyncPrefetch apf_;
 
   // Registry mirrors of the counters above, plus demanded-read accounting.

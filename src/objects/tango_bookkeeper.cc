@@ -36,7 +36,11 @@ Result<TangoBk::LedgerHandle> TangoBk::CreateLedger() {
     w.PutU8(kCreateLedger);
     w.PutU64(id);
     w.PutU64(token);
-    Status st = runtime_->UpdateHelper(oid_, w.bytes(), uint64_t{0});
+    // A keyless (whole-object) write: it bumps key 0, so racing creators
+    // conflict, and it orders the creation before every later record keyed
+    // by the new ledger's id.  Keyed by 0 alone, parallel playback could
+    // apply the ledger's first AddEntry before the ledger exists.
+    Status st = runtime_->UpdateHelper(oid_, w.bytes());
     if (!st.ok()) {
       runtime_->AbortTx();
       return st;

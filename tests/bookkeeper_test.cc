@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "src/objects/tango_bookkeeper.h"
 #include "tests/test_env.h"
 
@@ -123,6 +126,35 @@ TEST_F(BkTest, StaleWriterTokenIgnored) {
   auto count = bk_.EntryCount(handle->id);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
+}
+
+// A TangoBk whose view applies ledger creations slowly, so a parallel
+// playback engine that wrongly treats a creation and the ledger's first
+// entry as independent applies the entry first (and drops it).
+class SlowCreateBk : public TangoBk {
+ public:
+  using TangoBk::TangoBk;
+  void Apply(std::span<const uint8_t> update,
+             corfu::LogOffset offset) override {
+    if (!update.empty() && update[0] == 1) {  // TangoBk::kCreateLedger
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    TangoBk::Apply(update, offset);
+  }
+};
+
+TEST_F(BkTest, ParallelPlaybackAppliesCreationBeforeEntries) {
+  TangoRuntime::Options options;
+  options.playback_workers = 2;
+  auto client = MakeClient();
+  TangoRuntime runtime(client.get(), options);
+  SlowCreateBk reader(&runtime, 1);
+  auto handle = bk_.CreateLedger();
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(bk_.AddEntry(*handle, "first").ok());
+  auto count = reader.EntryCount(handle->id);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 1u);
 }
 
 TEST_F(BkTest, RebuildAfterReboot) {

@@ -3,7 +3,9 @@
 #include <map>
 
 #include "src/corfu/stream.h"
+#include "src/obs/metrics.h"
 #include "src/util/random.h"
+#include "src/util/threading.h"
 #include "tests/test_env.h"
 
 namespace corfu {
@@ -352,6 +354,150 @@ TEST_F(StreamTest, ReadAheadSkipsHoleAndDemandReadRepairsIt) {
   auto filled = cold_client->Read(grant->start);
   ASSERT_TRUE(filled.ok());
   EXPECT_TRUE(filled->is_junk());
+}
+
+// Appends `n` entries to stream 1 interleaved 1:1 with a foreign stream 2.
+// Returns the offsets of stream 2's entries.
+std::vector<LogOffset> AppendInterleaved(StreamStore& store, int n) {
+  std::vector<LogOffset> foreign;
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(store.Append(1, Bytes("m" + std::to_string(i))).ok());
+    auto other = store.Append(2, Bytes("f" + std::to_string(i)));
+    EXPECT_TRUE(other.ok());
+    foreign.push_back(*other);
+  }
+  return foreign;
+}
+
+TEST_F(StreamTest, ColdSyncReadsDensitySizedWindows) {
+  // 400 members spread over ~800 positions (g = 2): with readahead 32 the
+  // window is W = 64 positions, so the walk takes about span/W batched
+  // reads, while its logical cost stays N/K = 100 backpointer reads.
+  constexpr int kMembers = 400;
+  AppendInterleaved(store_, kMembers);
+  auto cold_client = MakeClient();
+  StreamStore::Options opt;
+  opt.readahead = 32;
+  StreamStore cold(cold_client.get(), opt);
+  cold.Open(1);
+  ASSERT_TRUE(cold.Sync(1).ok());
+  const std::vector<LogOffset>& known = cold.KnownOffsets(1);
+  ASSERT_EQ(known.size(), static_cast<size_t>(kMembers));
+  const uint64_t span = known.back() - known.front() + 1;
+  EXPECT_LE(cold.prefetch_batches(), span / 64 + 2);
+  EXPECT_EQ(cold.reconstruction_reads(), kMembers / 4u);
+
+  // Replay is served from the cache the windows filled.
+  for (int i = 0; i < kMembers; ++i) {
+    auto entry = cold.ReadNext(1);
+    ASSERT_TRUE(entry.ok());
+    EXPECT_EQ(Str(entry->entry->payload), "m" + std::to_string(i));
+  }
+  EXPECT_EQ(cold.cache_misses(), 0u);
+}
+
+TEST_F(StreamTest, WindowReadsDoNotCacheForeignEntries) {
+  std::vector<LogOffset> foreign = AppendInterleaved(store_, 100);
+  auto cold_client = MakeClient();
+  StreamStore::Options opt;
+  opt.readahead = 32;
+  StreamStore cold(cold_client.get(), opt);
+  cold.Open(1);
+  ASSERT_TRUE(cold.Sync(1).ok());
+  for (LogOffset o : cold.KnownOffsets(1)) {
+    ASSERT_TRUE(cold.FetchEntry(o).ok());
+  }
+  EXPECT_EQ(cold.cache_misses(), 0u);
+  // The windows covered every foreign position, yet none was cached.
+  for (size_t i = 0; i < foreign.size(); i += 10) {
+    uint64_t misses = cold.cache_misses();
+    ASSERT_TRUE(cold.FetchEntry(foreign[i]).ok());
+    EXPECT_EQ(cold.cache_misses(), misses + 1) << "offset " << foreign[i];
+  }
+}
+
+TEST_F(StreamTest, WindowNeverFillsForeignHoleButRepairsMemberHole) {
+  // A hole of a foreign stream inside a window stays a hole; a hole granted
+  // to the synced stream is repaired as junk on demand.
+  LogOffset member_hole = kInvalidOffset;
+  LogOffset foreign_hole = kInvalidOffset;
+  auto burn = [&](StreamId stream) {
+    auto grant = SequencerNext(&transport_, client_->projection().sequencer,
+                               client_->projection().epoch, 1, {stream});
+    EXPECT_TRUE(grant.ok());
+    return grant->start;
+  };
+  std::vector<std::string> expected;
+  for (int i = 0; i < 40; ++i) {
+    // Stream index 21 is never a stride read (those are indices = 0 mod 4),
+    // so the walk does not dead-end on the repaired hole.
+    if (i == 21) {
+      member_hole = burn(1);
+    } else {
+      expected.push_back("m" + std::to_string(i));
+      ASSERT_TRUE(store_.Append(1, Bytes(expected.back())).ok());
+    }
+    if (i == 10) {
+      foreign_hole = burn(2);
+    } else {
+      ASSERT_TRUE(store_.Append(2, Bytes("f")).ok());
+    }
+  }
+  tango::obs::Counter* fills =
+      tango::obs::MetricsRegistry::Default().GetCounter("log.fills");
+  const uint64_t fills_before = fills->Value();
+
+  auto cold_client = MakeClient();
+  StreamStore::Options opt;
+  opt.readahead = 32;
+  StreamStore cold(cold_client.get(), opt);
+  cold.Open(1);
+  ASSERT_TRUE(cold.Sync(1).ok());
+  EXPECT_EQ(fills->Value(), fills_before);  // the walk filled nothing
+
+  EXPECT_EQ(Drain(cold, 1), expected);
+  EXPECT_EQ(fills->Value(), fills_before + 1);
+  auto repaired = client_->Read(member_hole);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_TRUE(repaired->is_junk());
+  EXPECT_EQ(client_->Read(foreign_hole).status().code(),
+            StatusCode::kUnwritten);
+}
+
+TEST_F(StreamTest, AsyncPrefetchExaminesAtMostReadaheadOffsets) {
+  constexpr size_t kReadahead = 8;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(store_.Append(1, Bytes("x")).ok());
+  }
+  auto cold_client = MakeClient();
+  StreamStore::Options opt;
+  opt.readahead = kReadahead;
+  StreamStore cold(cold_client.get(), opt);
+  cold.Open(1);
+  ASSERT_TRUE(cold.Sync(1).ok());
+  const std::vector<LogOffset> known = cold.KnownOffsets(1);
+  tango::Executor executor(1);
+
+  // The cold sync cached every member: no call issues a batch.
+  for (LogOffset o : known) {
+    cold.StartAsyncPrefetch(o, kInvalidOffset, &executor);
+  }
+  EXPECT_EQ(cold.async_prefetch_batches(), 0u);
+
+  // Cache exactly the first readahead members.  A call from the first one
+  // looks no further than those (all cached): no batch, although the next
+  // members are uncached.  The following call resumes past them.
+  cold.ClearEntryCache();
+  ASSERT_TRUE(cold.FetchEntry(known[0]).ok());
+  cold.StartAsyncPrefetch(known[0], kInvalidOffset, &executor);
+  EXPECT_EQ(cold.async_prefetch_batches(), 0u);
+  cold.StartAsyncPrefetch(known[0], kInvalidOffset, &executor);
+  EXPECT_EQ(cold.async_prefetch_batches(), 1u);
+  cold.DrainAsyncPrefetch(/*wait=*/true);
+  const uint64_t misses = cold.cache_misses();
+  ASSERT_TRUE(cold.FetchEntry(known[kReadahead]).ok());
+  ASSERT_TRUE(cold.FetchEntry(known[2 * kReadahead - 1]).ok());
+  EXPECT_EQ(cold.cache_misses(), misses);
 }
 
 // Property test: random interleavings of appends across streams always
