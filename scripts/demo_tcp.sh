@@ -10,7 +10,17 @@ CLI="${2:?usage: demo_tcp.sh <tango_logd> <tango_cli> [base_port]}"
 PORT="${3:-$(( (RANDOM % 2000) + 21000 ))}"
 FLAGS="--base-port=${PORT} --nodes=4 --repl=2"
 
-fail() { echo "FAIL: $*" >&2; kill "${DAEMON_PID}" 2>/dev/null; exit 1; }
+fail() { echo "FAIL: $*" >&2; kill "${DAEMON_PID:-}" 2>/dev/null; exit 1; }
+
+# Bad flags are rejected with exit 2 and a usage line, never ignored (a
+# mistyped storage flag would otherwise serve from memory) or aborted on.
+for BAD in --journal-dir=/tmp/x --fsync-batch=abc; do
+  ERR=$(timeout 10 "${LOGD}" ${FLAGS} "${BAD}" 2>&1 >/dev/null)
+  CODE=$?
+  [ "${CODE}" -eq 2 ] || fail "${BAD}: exit ${CODE}, want 2: ${ERR}"
+  echo "${ERR}" | grep -q "usage: tango_logd" || fail "${BAD}: no usage: ${ERR}"
+  echo "${ERR}" | grep -q "terminate called" && fail "${BAD}: aborted: ${ERR}"
+done
 
 "${LOGD}" ${FLAGS} &
 DAEMON_PID=$!

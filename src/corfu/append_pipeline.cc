@@ -74,18 +74,12 @@ uint32_t AppendPipeline::window_limit() const {
 }
 
 void AppendPipeline::ShrinkWindow() {
-  if (!options_.adaptive_window) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   cwnd_ = std::max(1.0, cwnd_ / 2.0);
   cwnd_gauge_->Set(static_cast<int64_t>(cwnd_));
 }
 
 void AppendPipeline::GrowWindow() {
-  if (!options_.adaptive_window) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   if (cwnd_ < static_cast<double>(options_.window)) {
     cwnd_ = std::min(static_cast<double>(options_.window),

@@ -64,11 +64,6 @@ class AppendPipeline {
     uint32_t grant_batch = 8;
     // Worker threads; 0 = one per window slot (the pre-AIMD behavior).
     uint32_t workers = 0;
-    // AIMD window adaptation: kBusy sheds and chain-write timeouts halve the
-    // effective window (down to 1); each completed append grows it back by
-    // ~1/cwnd.  With no overload signals the window sits at `window`, so
-    // the default costs nothing on healthy clusters.
-    bool adaptive_window = true;
     // When true, Submit with a full window fails the append immediately
     // with kBusy + a depth-derived retry-after hint instead of blocking —
     // the open-loop mode load generators and latency-sensitive callers use.

@@ -61,9 +61,6 @@ StorageNode::Options CorfuCluster::NodeStorageOptions(tango::NodeId node) const 
   if (!options_.data_dir.empty()) {
     storage_options.data_dir =
         options_.data_dir + "/node-" + std::to_string(node);
-  } else if (!options_.journal_dir.empty()) {
-    storage_options.journal_path =
-        options_.journal_dir + "/node-" + std::to_string(node) + ".journal";
   }
   return storage_options;
 }

@@ -329,8 +329,8 @@ Status HealthMonitor::DegradeChain(NodeId dead) {
   }
   if (current.replica_sets[set_index].size() <= 1) {
     // Last replica of its extent: excising it would lose data.  Keep
-    // probing — if the node comes back, the chain heals; an operator can
-    // also repair from a journal.
+    // probing — if the node comes back (a durable node recovers its segment
+    // store on restart), the chain heals.
     return Status(StatusCode::kFailedPrecondition,
                   "sole surviving replica is unreachable; cannot degrade");
   }

@@ -372,7 +372,7 @@ Result<std::vector<CorfuClient::BatchedRead>> CorfuClient::ReadBatch(
 
     std::vector<Status> rpc_status(live.size());
     std::vector<std::vector<uint8_t>> rpc_resp(live.size());
-    ParallelDispatch(tango::ThreadPool::Shared(), live.size(), [&](size_t g) {
+    ParallelDispatch(tango::Executor::Shared(), live.size(), [&](size_t g) {
       const std::vector<size_t>& group = *live[g];
       ByteWriter w(8 + 8 * group.size());
       w.PutU32(p.epoch);

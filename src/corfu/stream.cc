@@ -432,7 +432,7 @@ Result<LogOffset> StreamStore::Sync(StreamId stream) {
   StreamState& state = StateFor(stream);
   Result<SequencerTailInfo> info = log_->StreamTails({stream});
   if (!info.ok()) {
-    if (options_.brownout_stale_reads && BrownoutStatus(info.status())) {
+    if (BrownoutStatus(info.status())) {
       // Brown-out: the sequencer (or the path to it) is shedding.  Readers
       // keep consuming everything already discovered — entries are
       // immutable, so the list is correct, just possibly behind.
@@ -501,7 +501,7 @@ Result<LogOffset> StreamStore::SyncAll(const std::vector<StreamId>& streams) {
   }
   Result<SequencerTailInfo> info = log_->StreamTails(streams);
   if (!info.ok()) {
-    if (options_.brownout_stale_reads && BrownoutStatus(info.status())) {
+    if (BrownoutStatus(info.status())) {
       // Brown-out: every requested stream serves its last synced list; the
       // returned tail is the most conservative one (all lists are complete
       // up to the minimum).

@@ -59,13 +59,6 @@ class StreamStore {
     // lands them in the entry cache.  0 disables prefetching entirely (the
     // original one-RPC-per-entry path).
     size_t readahead = 0;
-    // Brown-out mode: when a Sync fails with an overload / outage status
-    // (kBusy, kUnavailable, kTimeout), serve the stream's last successfully
-    // synced tail — explicitly marked stale via IsStale — instead of
-    // erroring, so readers keep draining known offsets (and the LRU entry
-    // cache) while the cluster sheds.  Entries are immutable, so everything
-    // already discovered is still correct; only the tail is behind.
-    bool brownout_stale_reads = true;
   };
 
   // Which way FetchEntry prefetches through the known-offset list: forward
@@ -91,6 +84,11 @@ class StreamStore {
   // Brings the stream's linked list up to date with the sequencer and
   // returns the current global log tail (the position up to which the list
   // is now complete).  Must be called before ReadNext for linearizability.
+  // Brown-out: when the sequencer answers with an overload / outage status
+  // (kBusy, kUnavailable, kTimeout), returns the stream's last synced tail,
+  // marked stale via IsStale, instead of the error, so readers keep draining
+  // known offsets while the cluster sheds.  Entries are immutable, so only
+  // the tail is behind.
   tango::Result<LogOffset> Sync(StreamId stream);
 
   // Returns the next data entry of the stream, skipping junk.  Returns

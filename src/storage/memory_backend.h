@@ -2,8 +2,9 @@
 //
 // Exactly the semantics StorageNode had before the backend split: an
 // unordered page map with write-once enforcement, a prefix trim watermark
-// plus an individual-trim set, and a sealed epoch.  No durability — the
-// StorageNode's legacy journal (or a chain replica) provides it when needed.
+// plus an individual-trim set, and a sealed epoch.  No durability: a node
+// that must survive restarts runs on SegmentStoreBackend instead, and a
+// chain replica covers a lost in-memory node.
 // This is the engine benches use, so its hot paths must stay a map lookup
 // under an uncontended mutex.
 

@@ -107,9 +107,6 @@ class Executor {
   std::vector<std::thread> threads_;
 };
 
-// Legacy name, kept for the call sites that predate the executor refactor.
-using ThreadPool = Executor;
-
 // Runs blocking callables under a deadline without wedging the caller: the
 // callable executes on a cached helper thread while the caller waits up to
 // `deadline_us` for it to finish.  On timeout the caller unblocks immediately

@@ -1,6 +1,8 @@
-// Durability across process restarts: storage nodes journal pages to disk
-// and reload them on construction, so "the shared log is the source of
-// durability" holds even when every server goes down.
+// Durability across process restarts: storage nodes given a data_dir run on
+// the segment store and recover it on construction, so "the shared log is
+// the source of durability" holds even when every server goes down — or is
+// SIGKILLed mid-append.  Torn segment tails and crash-point prefixes are
+// covered at the engine level in segment_store_test.
 
 #include <gtest/gtest.h>
 
@@ -36,119 +38,15 @@ class PersistenceTest : public ::testing::Test {
   }
   ~PersistenceTest() override { std::filesystem::remove_all(dir_); }
 
-  std::string JournalPath(const std::string& name) {
-    return (dir_ / name).string();
-  }
-
   std::filesystem::path dir_;
   static int counter_;
 };
 
 int PersistenceTest::counter_ = 0;
 
-TEST_F(PersistenceTest, PagesSurviveRestart) {
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    ASSERT_TRUE(node.WriteLocal(0, 3, Bytes("persisted")).ok());
-    ASSERT_TRUE(node.WriteLocal(0, 7, Bytes("sparse")).ok());
-  }  // "crash"
-  StorageNode revived(&transport, 1, options);
-  auto page = revived.ReadLocal(0, 3);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ(tango_test::Str(*page), "persisted");
-  // Write-once still enforced after restart; tail recovered.
-  EXPECT_EQ(revived.WriteLocal(0, 3, Bytes("x")).code(), StatusCode::kWritten);
-  auto tail = revived.Seal(1);
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(*tail, 8u);
-}
-
-TEST_F(PersistenceTest, SealSurvivesRestart) {
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    ASSERT_TRUE(node.Seal(4).ok());
-  }
-  StorageNode revived(&transport, 1, options);
-  // A restarted node must not accept requests from fenced epochs.
-  EXPECT_EQ(revived.WriteLocal(2, 0, Bytes("stale")).code(),
-            StatusCode::kSealedEpoch);
-  EXPECT_TRUE(revived.WriteLocal(4, 0, Bytes("current")).ok());
-}
-
-TEST_F(PersistenceTest, TrimsSurviveRestart) {
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    for (LogOffset o = 0; o < 6; ++o) {
-      ASSERT_TRUE(node.WriteLocal(0, o, Bytes("v")).ok());
-    }
-    ASSERT_TRUE(node.TrimLocal(0, 5).ok());
-    ASSERT_TRUE(node.TrimPrefixLocal(0, 3).ok());
-  }
-  StorageNode revived(&transport, 1, options);
-  EXPECT_EQ(revived.ReadLocal(0, 0).status().code(), StatusCode::kTrimmed);
-  EXPECT_EQ(revived.ReadLocal(0, 5).status().code(), StatusCode::kTrimmed);
-  EXPECT_TRUE(revived.ReadLocal(0, 3).ok());
-  EXPECT_TRUE(revived.ReadLocal(0, 4).ok());
-}
-
-TEST_F(PersistenceTest, TornTailRecordIgnored) {
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    ASSERT_TRUE(node.WriteLocal(0, 0, Bytes("good")).ok());
-    ASSERT_TRUE(node.WriteLocal(0, 1, Bytes("torn")).ok());
-  }
-  // Simulate a crash mid-write: chop a few bytes off the journal tail.
-  auto size = std::filesystem::file_size(options.journal_path);
-  std::filesystem::resize_file(options.journal_path, size - 3);
-
-  StorageNode revived(&transport, 1, options);
-  EXPECT_TRUE(revived.ReadLocal(0, 0).ok());
-  // The torn record is dropped; the slot reads as unwritten (the chain's
-  // other replica still has it — this is exactly why entries are mirrored).
-  EXPECT_EQ(revived.ReadLocal(0, 1).status().code(), StatusCode::kUnwritten);
-}
-
-TEST_F(PersistenceTest, TornJournalIsTruncatedSoLaterAppendsSurviveRestarts) {
-  // Regression: replay used to stop at a torn tail record but leave the
-  // garbage bytes in place, so the next "ab" append landed after them and
-  // every later restart lost everything written post-recovery.
-  tango::InProcTransport transport;
-  StorageNode::Options options;
-  options.journal_path = JournalPath("node.journal");
-  {
-    StorageNode node(&transport, 1, options);
-    ASSERT_TRUE(node.WriteLocal(0, 0, Bytes("good")).ok());
-    ASSERT_TRUE(node.WriteLocal(0, 1, Bytes("torn")).ok());
-  }
-  auto size = std::filesystem::file_size(options.journal_path);
-  std::filesystem::resize_file(options.journal_path, size - 3);
-  {
-    StorageNode revived(&transport, 1, options);
-    EXPECT_TRUE(revived.ReadLocal(0, 0).ok());
-    EXPECT_EQ(revived.ReadLocal(0, 1).status().code(), StatusCode::kUnwritten);
-    // The torn bytes must be gone so these appends replay on the NEXT boot.
-    ASSERT_TRUE(revived.WriteLocal(0, 1, Bytes("fresh")).ok());
-    ASSERT_TRUE(revived.WriteLocal(0, 2, Bytes("more")).ok());
-  }
-  StorageNode third(&transport, 1, options);
-  EXPECT_EQ(tango_test::Str(*third.ReadLocal(0, 0)), "good");
-  EXPECT_EQ(tango_test::Str(*third.ReadLocal(0, 1)), "fresh");
-  EXPECT_EQ(tango_test::Str(*third.ReadLocal(0, 2)), "more");
-}
-
 TEST_F(PersistenceTest, SegmentStoreNodeSurvivesRestart) {
+  // Every StorageNode mutation survives a restart: sparse pages, the sealed
+  // epoch, single-offset trims and prefix trims.
   tango::InProcTransport transport;
   StorageNode::Options options;
   options.data_dir = (dir_ / "node-data").string();
@@ -156,13 +54,32 @@ TEST_F(PersistenceTest, SegmentStoreNodeSurvivesRestart) {
   {
     StorageNode node(&transport, 1, options);
     ASSERT_TRUE(node.WriteLocal(0, 3, Bytes("durable")).ok());
+    ASSERT_TRUE(node.WriteLocal(0, 7, Bytes("sparse")).ok());
+    for (LogOffset o : {0, 1, 5}) {
+      ASSERT_TRUE(node.WriteLocal(0, o, Bytes("v")).ok());
+    }
+    ASSERT_TRUE(node.TrimLocal(0, 5).ok());
+    ASSERT_TRUE(node.TrimPrefixLocal(0, 2).ok());
     ASSERT_TRUE(node.Seal(2).ok());
-  }
+  }  // "crash"
   StorageNode revived(&transport, 1, options);
   EXPECT_EQ(tango_test::Str(*revived.ReadLocal(2, 3)), "durable");
+  EXPECT_EQ(tango_test::Str(*revived.ReadLocal(2, 7)), "sparse");
+  // Holes stay holes; trims stay trimmed.
+  EXPECT_EQ(revived.ReadLocal(2, 4).status().code(), StatusCode::kUnwritten);
+  EXPECT_EQ(revived.ReadLocal(2, 0).status().code(), StatusCode::kTrimmed);
+  EXPECT_EQ(revived.ReadLocal(2, 1).status().code(), StatusCode::kTrimmed);
+  EXPECT_EQ(revived.ReadLocal(2, 5).status().code(), StatusCode::kTrimmed);
+  // A restarted node must not accept requests from fenced epochs, and
+  // write-once still holds.
   EXPECT_EQ(revived.WriteLocal(1, 0, Bytes("stale")).code(),
             StatusCode::kSealedEpoch);
   EXPECT_EQ(revived.WriteLocal(2, 3, Bytes("x")).code(), StatusCode::kWritten);
+  // The local tail is recovered past the sparse write at 7.
+  auto tail = revived.Seal(3);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail, 8u);
+  EXPECT_TRUE(revived.WriteLocal(3, 8, Bytes("current")).ok());
 }
 
 TEST_F(PersistenceTest, WholeClusterRestartPreservesObjectsOnSegmentStore) {
@@ -325,40 +242,6 @@ TEST_F(PersistenceTest, KillNineClusterLosesNoAcknowledgedAppend) {
               "crash-entry-" + std::to_string(id))
         << "wrong bytes at offset " << offset;
   }
-}
-
-TEST_F(PersistenceTest, WholeClusterRestartPreservesObjects) {
-  // End to end: build objects, restart every storage node, rebuild views.
-  tango::InProcTransport transport;
-  corfu::CorfuCluster::Options options;
-  options.num_storage_nodes = 4;
-  options.replication_factor = 2;
-  options.journal_dir = dir_.string();
-  {
-    corfu::CorfuCluster cluster(&transport, options);
-    auto client = cluster.MakeClient();
-    tango::TangoRuntime runtime(client.get());
-    tango::TangoMap map(&runtime, 1);
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(map.Put("k" + std::to_string(i), "v" + std::to_string(i))
-                      .ok());
-    }
-  }  // full cluster shutdown
-
-  tango::InProcTransport transport2;
-  corfu::CorfuCluster cluster(&transport2, options);
-  auto client = cluster.MakeClient();
-  // The fresh sequencer knows nothing; recover its state from storage.
-  ASSERT_TRUE(
-      Reconfigure(client.get(), [](Projection&) {}).ok());
-  tango::TangoRuntime runtime(client.get());
-  tango::TangoMap map(&runtime, 1);
-  auto size = map.Size();
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, 12u);
-  auto value = map.Get("k7");
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, "v7");
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #ifndef TOOLS_NODE_LAYOUT_H_
 #define TOOLS_NODE_LAYOUT_H_
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -119,6 +121,34 @@ struct ToolArgs {
       }
     }
     return fallback;
+  }
+
+  // Strict check for a tool that declares its flags.  Returns what is wrong
+  // with the first argument that is positional, not a declared flag, or an
+  // integer flag whose value is not a whole base-10 int64; "" when all are
+  // valid, after which GetInt on a declared integer flag cannot throw.
+  std::string Check(const std::vector<std::string>& string_flags,
+                    const std::vector<std::string>& int_flags) const {
+    auto declared = [](const std::vector<std::string>& names,
+                       const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    if (!positional.empty()) {
+      return "unexpected argument '" + positional.front() + "'";
+    }
+    for (const auto& [k, v] : flags) {
+      if (declared(int_flags, k)) {
+        int64_t value = 0;
+        const char* end = v.data() + v.size();
+        auto [ptr, ec] = std::from_chars(v.data(), end, value);
+        if (ec != std::errc() || ptr != end) {
+          return "--" + k + " needs an integer, got '" + v + "'";
+        }
+      } else if (!declared(string_flags, k)) {
+        return "unknown flag --" + k;
+      }
+    }
+    return "";
   }
 };
 

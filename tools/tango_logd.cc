@@ -9,10 +9,12 @@
 //
 // Usage:
 //   tango_logd [--base-port=19700] [--nodes=6] [--repl=2]
-//              [--journal-dir=/var/lib/tango] [--data-dir=/var/lib/tango]
-//              [--fsync-batch=64] [--listen=127.0.0.1]
-//              [--http-port=N] [--trace-sample-every=1024]
-//              [--trace-slow-us=10000]
+//              [--data-dir=/var/lib/tango] [--fsync-batch=64]
+//              [--listen=127.0.0.1] [--http-port=N]
+//              [--trace-sample-every=1024] [--trace-slow-us=10000]
+//
+// An unknown flag, a stray argument or a non-integer value for an integer
+// flag prints a usage line and exits 2.
 //
 // Observability: an embedded HTTP server (default port base_port + 3 +
 // nodes; --http-port=0 disables) serves /metrics (Prometheus), /traces
@@ -22,11 +24,11 @@
 // plane events (seals, reconfigurations, GC, recovery, stalls) are written
 // to stderr before the process dies.
 //
-// With --journal-dir, storage nodes persist their pages and survive daemon
-// restarts (restart with the same flags, then run `tango_cli recover` once
-// to rebuild the fresh sequencer's state from the log).  --data-dir selects
-// the crash-consistent segment store instead (checksummed segment files
-// under <data-dir>/node-<id>, kill -9 safe); --fsync-batch tunes its group
+// Without --data-dir the storage nodes keep pages in memory only.  With it,
+// they run on the crash-consistent segment store (checksummed segment files
+// under <data-dir>/node-<id>, kill -9 safe) and survive daemon restarts
+// (restart with the same flags, then run `tango_cli recover` once to rebuild
+// the fresh sequencer's state from the log); --fsync-batch tunes its group
 // commit (1 = fsync every append).
 
 #include <csignal>
@@ -51,15 +53,27 @@ void HandleSignal(int /*sig*/) {
   }
 }
 
+constexpr char kUsage[] =
+    "usage: tango_logd [--base-port=19700] [--nodes=6] [--repl=2] "
+    "[--data-dir=DIR] [--fsync-batch=64] [--listen=127.0.0.1] "
+    "[--http-port=N] [--trace-sample-every=1024] [--trace-slow-us=10000]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   tangotools::ToolArgs args(argc, argv);
+  std::string bad = args.Check(
+      {"data-dir", "listen"},
+      {"base-port", "nodes", "repl", "fsync-batch", "http-port",
+       "trace-sample-every", "trace-slow-us"});
+  if (!bad.empty()) {
+    std::fprintf(stderr, "tango_logd: %s\n%s", bad.c_str(), kUsage);
+    return 2;
+  }
   tangotools::NodeLayout layout{
       static_cast<int>(args.GetInt("nodes", 6)),
       static_cast<uint16_t>(args.GetInt("base-port", 19700))};
   int replication = static_cast<int>(args.GetInt("repl", 2));
-  std::string journal_dir = args.Get("journal-dir", "");
   std::string data_dir = args.Get("data-dir", "");
   uint32_t fsync_batch = static_cast<uint32_t>(args.GetInt("fsync-batch", 64));
   std::string listen = args.Get("listen", "127.0.0.1");
@@ -84,7 +98,6 @@ int main(int argc, char** argv) {
   layout.AssignListenPorts(transport);
 
   corfu::CorfuCluster::Options options = layout.ClusterOptions(replication);
-  options.journal_dir = journal_dir;
   if (!data_dir.empty()) {
     // Each node roots its segment store under here; create the parent now.
     (void)corfu::storage::PosixFileSystem()->CreateDir(data_dir);
@@ -118,11 +131,8 @@ int main(int argc, char** argv) {
       layout.num_storage_nodes, replication, listen.c_str(),
       layout.ProjectionStorePort(),
       layout.StoragePort(layout.num_storage_nodes - 1),
-      !data_dir.empty()
-          ? (", durable segment store in " + data_dir).c_str()
-          : (journal_dir.empty()
-                 ? ""
-                 : (", journaling to " + journal_dir).c_str()));
+      data_dir.empty() ? ""
+                       : (", durable segment store in " + data_dir).c_str());
   std::printf("tango_logd: stats endpoint (tango_stat --connect) on port %u\n",
               layout.StatsPort());
   if (http.running()) {
