@@ -6,6 +6,7 @@
 // space grows (less contention); zipf keeps goodput lower than uniform at
 // every size; and adding nodes beyond a point does not increase throughput —
 // the playback bottleneck, since every client must consume every update.
+// --json=FILE dumps the grid, stamped with run_info, for EXPERIMENTS.md.
 
 #include "bench/bench_common.h"
 #include "src/objects/tango_map.h"
@@ -15,6 +16,14 @@ namespace tangobench {
 namespace {
 
 constexpr tango::ObjectId kMapOid = 1;
+
+struct Cell {
+  bool zipf = false;
+  uint64_t keys = 0;
+  int nodes = 0;
+  double tx_per_sec = 0;
+  double good_per_sec = 0;
+};
 
 struct Node {
   std::unique_ptr<corfu::CorfuClient> client;
@@ -31,11 +40,13 @@ void Run(const Flags& flags) {
   // one process the threads would otherwise serialize and almost never
   // overlap, hiding contention entirely.
   const int think_us = static_cast<int>(flags.GetInt("think-us", 200));
+  const std::string json_path = flags.GetString("json", "");
 
   std::printf(
       "Figure 9: transactions on one fully replicated TangoMap (3R+3W)\n\n");
   PrintHeader({"dist", "keys", "nodes", "Ktx/s", "Kgood/s", "good%"});
 
+  std::vector<Cell> cells;
   for (bool zipf : {true, false}) {
     for (uint64_t num_keys : {10ULL, 1000ULL, 100000ULL}) {
       for (int num_nodes : {2, 4, 8}) {
@@ -94,9 +105,39 @@ void Run(const Flags& flags) {
                   std::to_string(num_nodes),
                   Fmt(result.ops_per_sec / 1000.0, 2),
                   Fmt(result.good_ops_per_sec / 1000.0, 2), Fmt(good_pct)});
+        cells.push_back({zipf, num_keys, num_nodes, result.ops_per_sec,
+                         result.good_ops_per_sec});
       }
     }
     std::printf("\n");
+  }
+
+  if (!json_path.empty()) {
+    FILE* f = std::fopen(json_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+      std::exit(1);
+    }
+    std::fprintf(f,
+                 "{\n  \"bench\": \"fig9_txn_map\",\n"
+                 "  \"duration_ms\": %d,\n  \"reads\": %d,\n"
+                 "  \"writes\": %d,\n  \"think_us\": %d,\n",
+                 duration_ms, reads_per_tx, writes_per_tx, think_us);
+    WriteRunInfoField(f);
+    std::fprintf(f, "  \"cells\": [\n");
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const Cell& c = cells[i];
+      std::fprintf(f,
+                   "    {\"dist\": \"%s\", \"keys\": %llu, \"nodes\": %d, "
+                   "\"tx_per_sec\": %.1f, \"good_per_sec\": %.1f}%s\n",
+                   c.zipf ? "zipf" : "uniform",
+                   static_cast<unsigned long long>(c.keys), c.nodes,
+                   c.tx_per_sec, c.good_per_sec,
+                   i + 1 == cells.size() ? "" : ",");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", json_path.c_str());
   }
 }
 

@@ -56,6 +56,27 @@ sync = {c["batch"]: c["sync_ms"] for c in d["cells"] if c["latency_us"] == 50}
 assert sync[32] <= 0.5 * sync[1], "cold sync at 50 us (ms by batch): %s" % sync
 EOF
 
+echo "== playback gate: both sides of the playback_workers knob =="
+# Ratios, not absolute times.  With in-memory applies (--apply-us=0) the
+# sequential default (workers 0) must replay no slower than a 2-worker
+# engine at 0 us links; with 50 us blocking applies, opting into 4 workers
+# must replay at least 3x faster than 1 worker.
+cmake --build "$ROOT/build" -j "$JOBS" --target fig_playback
+"$ROOT/build/bench/fig_playback" --entries=1000 --apply-us=0 \
+  --json="$ROOT/build/bench-playback-gate-0us.json"
+"$ROOT/build/bench/fig_playback" --entries=800 \
+  --json="$ROOT/build/bench-playback-gate-50us.json"
+python3 - "$ROOT/build/bench-playback-gate-0us.json" \
+  "$ROOT/build/bench-playback-gate-50us.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+ms = {c["workers"]: c["replay_ms"] for c in d["cells"]
+      if c["latency_us"] == 0 and c["window"] == 32}
+assert ms[0] <= ms[2], "replay at 0 us applies (ms by workers): %s" % ms
+d = json.load(open(sys.argv[2]))
+assert d["speedup_4w_vs_1w_50us"] >= 3, d["speedup_4w_vs_1w_50us"]
+EOF
+
 echo "== tier-2: ASan/UBSan build + ctest =="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DCMAKE_BUILD_TYPE=Asan
 cmake --build "$ROOT/build-asan" -j "$JOBS"

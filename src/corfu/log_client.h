@@ -104,11 +104,12 @@ class CorfuClient {
 
   // Vectored read (the playback fast path): fetches every offset in one
   // kStorageReadBatch round trip per replica set, with the per-set sub-batches
-  // dispatched in parallel on the shared thread pool.  Per-offset failures
-  // (holes, trims) are reported in the slots and never fail the batch; a
-  // sealed epoch refreshes the projection and retries only the failed
-  // sub-batches.  Unlike ReadRepair this never waits out or fills a hole —
-  // callers fall back to ReadRepair for offsets they actually need.
+  // dispatched in parallel on the shared thread pool (the caller runs any
+  // sub-batch no worker has started; see ParallelDispatch).  Per-offset
+  // failures (holes, trims) are reported in the slots and never fail the
+  // batch; a sealed epoch refreshes the projection and retries only the
+  // failed sub-batches.  Unlike ReadRepair this never waits out or fills a
+  // hole — callers fall back to ReadRepair for offsets they actually need.
   tango::Result<std::vector<BatchedRead>> ReadBatch(
       std::span<const LogOffset> offsets);
 

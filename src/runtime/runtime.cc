@@ -165,21 +165,6 @@ corfu::LogOffset TangoRuntime::VersionOf(ObjectId oid,
 
 // --- playback ----------------------------------------------------------------
 
-int TangoRuntime::PlaybackWorkers() const {
-  if (options_.playback_workers >= 0) {
-    return options_.playback_workers;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    hw = 2;  // unknown topology: assume a small machine
-  }
-  unsigned half = hw / 2;
-  if (half < 1) {
-    half = 1;
-  }
-  return static_cast<int>(std::min(4u, half));
-}
-
 Status TangoRuntime::PlayUntil(LogOffset limit) {
   obs::TraceScope span("runtime.play");
   std::vector<StreamId> streams;
@@ -200,9 +185,9 @@ Status TangoRuntime::PlayUntil(LogOffset limit) {
 
   // Bring up the parallel apply engine lazily (playback_workers == 0 keeps
   // the single-threaded reference path; no threads are ever created then).
-  if (engine_ == nullptr && PlaybackWorkers() > 0) {
+  if (engine_ == nullptr && options_.playback_workers > 0) {
     PlaybackEngine::Options eopts;
-    eopts.workers = PlaybackWorkers();
+    eopts.workers = options_.playback_workers;
     eopts.window = std::max<size_t>(1, options_.playback_window);
     engine_ = std::make_unique<PlaybackEngine>(eopts);
   }

@@ -62,13 +62,14 @@ class TangoRuntime {
     // LoadObject amortize the per-RPC transport cost; set readahead to 0 for
     // the one-round-trip-per-entry path.
     corfu::StreamStore::Options store{.cache_capacity = 8192, .readahead = 32};
-    // Parallel playback (src/runtime/playback.h): entries with disjoint
-    // object/key access sets apply concurrently on a worker pool while the
-    // next window's fetch overlaps the current window's apply.  -1 = auto
-    // (min(4, cores/2) workers), 0 = the single-threaded reference path,
-    // N > 0 = exactly N workers.  The engine (and its threads) is created
-    // lazily on the first playback that can use it.
-    int playback_workers = -1;
+    // Parallel playback (src/runtime/playback.h).  0 (default) applies each
+    // entry on the thread that syncs: an in-memory apply (~1 us) is far
+    // cheaper than handing it to a worker.  N > 0 opts into N workers that
+    // apply entries with disjoint object/key access sets concurrently while
+    // the next window's fetch overlaps the current window's apply — the
+    // right choice when applies block (I/O, sleeps).  The engine (and its
+    // threads) is created lazily on the first playback that can use it.
+    int playback_workers = 0;
     // Max entries in flight inside the parallel apply window.
     size_t playback_window = 64;
   };
@@ -242,8 +243,6 @@ class TangoRuntime {
   bool CollectAccesses(const std::vector<Record>& records,
                        const std::vector<ObjectId>& fresh,
                        std::vector<PlaybackAccess>* accesses) const;
-  // Resolved worker count (>=0) for this runtime's options.
-  int PlaybackWorkers() const;
 
   corfu::LogOffset SnapshotVersionLocked(ObjectId oid,
                                          std::optional<uint64_t> key) const;
@@ -317,7 +316,7 @@ class TangoRuntime {
   obs::Gauge* playback_position_;
   obs::Histogram* play_lag_;
 
-  // Created lazily by the first PlayUntil when PlaybackWorkers() > 0.
+  // Created lazily by the first PlayUntil when playback_workers > 0.
   // Declared last: its destructor joins the worker pool (and with it any
   // async prefetch task holding a StreamStore pointer) before store_ and the
   // version tables above are torn down.

@@ -239,6 +239,37 @@ void TaskGroup::Wait() {
   cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
+namespace {
+
+// Shared by a ParallelDispatch caller and the pool tasks it submits.  A task
+// whose claim fails may be dequeued after the caller has returned, so the
+// state lives on the heap and `fn` is dereferenced only under a claim (the
+// caller is then still waiting for that leg).
+struct DispatchState {
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};  // lowest unclaimed leg
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t done = 0;  // legs finished, guarded by mu
+};
+
+// Claims and runs the next unclaimed leg; false once every leg is claimed.
+bool RunNextLeg(DispatchState& state) {
+  size_t leg = state.next.fetch_add(1, std::memory_order_relaxed);
+  if (leg >= state.n) {
+    return false;
+  }
+  (*state.fn)(leg);
+  std::lock_guard<std::mutex> lock(state.mu);
+  if (++state.done == state.n) {
+    state.cv.notify_one();
+  }
+  return true;
+}
+
+}  // namespace
+
 void ParallelDispatch(Executor& pool, size_t n,
                       const std::function<void(size_t)>& fn) {
   if (n == 0) {
@@ -248,21 +279,14 @@ void ParallelDispatch(Executor& pool, size_t n,
     fn(0);
     return;
   }
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = n - 1;
+  auto state = std::make_shared<DispatchState>(n, &fn);
   for (size_t i = 0; i + 1 < n; ++i) {
-    pool.Submit([&, i] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) {
-        cv.notify_one();
-      }
-    });
+    pool.Submit([state] { RunNextLeg(*state); });
   }
-  fn(n - 1);
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
+  while (RunNextLeg(*state)) {
+  }
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, [&] { return state->done == n; });
 }
 
 void RunParallel(int n, const std::function<void(int)>& fn) {

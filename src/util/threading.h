@@ -169,9 +169,14 @@ class TaskGroup {
   size_t outstanding_ = 0;
 };
 
-// Runs `fn(0..n-1)` with tasks 0..n-2 on the pool and task n-1 inline on the
-// caller; returns when all n complete.  Safe to call from many threads at
-// once — tasks from concurrent callers interleave on the shared workers.
+// Runs `fn(0..n-1)` and returns when all n legs complete.  It submits n-1
+// pool tasks; each leg is claimed exactly once, in index order, by whichever
+// thread reaches it first.  The caller claims and runs legs until none is
+// left unclaimed, then waits only for legs a worker has already started —
+// never for a queued task, so a slow wake-up (or a busy pool) costs nothing
+// on the caller's path.  A pool task that finds every leg claimed returns
+// without touching `fn`.  Safe to call from many threads at once — tasks
+// from concurrent callers interleave on the shared workers.
 void ParallelDispatch(Executor& pool, size_t n,
                       const std::function<void(size_t)>& fn);
 

@@ -14,13 +14,23 @@ namespace {
 using tango_test::Bytes;
 using tango_test::ClusterFixture;
 
-class TxnTest : public ClusterFixture {
+// Every case runs on both playback paths: the sequential default (0) and
+// the parallel engine (2 workers), which must reach the same commit, abort
+// and decision outcomes.
+class TxnTest : public ClusterFixture,
+                public ::testing::WithParamInterface<int> {
  protected:
   TxnTest()
       : client_a_(MakeClient()),
         client_b_(MakeClient()),
-        rt_a_(client_a_.get()),
-        rt_b_(client_b_.get()) {}
+        rt_a_(client_a_.get(), RuntimeOptions()),
+        rt_b_(client_b_.get(), RuntimeOptions()) {}
+
+  static TangoRuntime::Options RuntimeOptions() {
+    TangoRuntime::Options options;
+    options.playback_workers = GetParam();
+    return options;
+  }
 
   std::unique_ptr<corfu::CorfuClient> client_a_;
   std::unique_ptr<corfu::CorfuClient> client_b_;
@@ -28,7 +38,7 @@ class TxnTest : public ClusterFixture {
   TangoRuntime rt_b_;
 };
 
-TEST_F(TxnTest, SingleObjectCommit) {
+TEST_P(TxnTest, SingleObjectCommit) {
   TangoMap map(&rt_a_, 1);
   ASSERT_TRUE(rt_a_.BeginTx().ok());
   ASSERT_TRUE(map.Put("k", "v").ok());
@@ -38,7 +48,7 @@ TEST_F(TxnTest, SingleObjectCommit) {
   EXPECT_EQ(*value, "v");
 }
 
-TEST_F(TxnTest, BufferedWritesInvisibleUntilCommit) {
+TEST_P(TxnTest, BufferedWritesInvisibleUntilCommit) {
   TangoMap map_a(&rt_a_, 1);
   TangoMap map_b(&rt_b_, 1);
   ASSERT_TRUE(rt_a_.BeginTx().ok());
@@ -49,7 +59,7 @@ TEST_F(TxnTest, BufferedWritesInvisibleUntilCommit) {
   EXPECT_TRUE(map_b.Get("k").ok());
 }
 
-TEST_F(TxnTest, AbortTxDiscards) {
+TEST_P(TxnTest, AbortTxDiscards) {
   TangoMap map(&rt_a_, 1);
   ASSERT_TRUE(rt_a_.BeginTx().ok());
   ASSERT_TRUE(map.Put("k", "v").ok());
@@ -58,22 +68,22 @@ TEST_F(TxnTest, AbortTxDiscards) {
   EXPECT_EQ(map.Get("k").status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(TxnTest, NestedBeginRejected) {
+TEST_P(TxnTest, NestedBeginRejected) {
   ASSERT_TRUE(rt_a_.BeginTx().ok());
   EXPECT_EQ(rt_a_.BeginTx().code(), StatusCode::kFailedPrecondition);
   rt_a_.AbortTx();
 }
 
-TEST_F(TxnTest, EndWithoutBeginRejected) {
+TEST_P(TxnTest, EndWithoutBeginRejected) {
   EXPECT_EQ(rt_a_.EndTx().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST_F(TxnTest, EmptyTxCommits) {
+TEST_P(TxnTest, EmptyTxCommits) {
   ASSERT_TRUE(rt_a_.BeginTx().ok());
   EXPECT_TRUE(rt_a_.EndTx().ok());
 }
 
-TEST_F(TxnTest, ReadSetConflictAborts) {
+TEST_P(TxnTest, ReadSetConflictAborts) {
   TangoRegister reg_a(&rt_a_, 1);
   TangoRegister reg_b(&rt_b_, 1);
   ASSERT_TRUE(reg_a.Write(1).ok());
@@ -92,7 +102,7 @@ TEST_F(TxnTest, ReadSetConflictAborts) {
   EXPECT_EQ(*value, 99);
 }
 
-TEST_F(TxnTest, NoConflictNoAbort) {
+TEST_P(TxnTest, NoConflictNoAbort) {
   TangoRegister reg(&rt_a_, 1);
   ASSERT_TRUE(reg.Write(1).ok());
   ASSERT_TRUE(reg.Read().ok());  // sync the view before transacting
@@ -102,7 +112,7 @@ TEST_F(TxnTest, NoConflictNoAbort) {
   EXPECT_TRUE(rt_a_.EndTx().ok());
 }
 
-TEST_F(TxnTest, FineGrainedKeysDontConflict) {
+TEST_P(TxnTest, FineGrainedKeysDontConflict) {
   // §3.2 Versioning: transactions touching disjoint keys commute.
   TangoMap map_a(&rt_a_, 1);
   TangoMap map_b(&rt_b_, 1);
@@ -117,7 +127,7 @@ TEST_F(TxnTest, FineGrainedKeysDontConflict) {
   EXPECT_TRUE(rt_a_.EndTx().ok());           // y-write does not abort us
 }
 
-TEST_F(TxnTest, SameKeyConflicts) {
+TEST_P(TxnTest, SameKeyConflicts) {
   TangoMap map_a(&rt_a_, 1);
   TangoMap map_b(&rt_b_, 1);
   ASSERT_TRUE(map_a.Put("x", "0").ok());
@@ -130,7 +140,7 @@ TEST_F(TxnTest, SameKeyConflicts) {
   EXPECT_EQ(rt_a_.EndTx().code(), StatusCode::kAborted);
 }
 
-TEST_F(TxnTest, KeylessWriteInvalidatesKeyedReads) {
+TEST_P(TxnTest, KeylessWriteInvalidatesKeyedReads) {
   // A whole-object write must conflict with per-key reads.
   TangoMap map_a(&rt_a_, 1);
   ASSERT_TRUE(map_a.Put("x", "0").ok());
@@ -148,7 +158,7 @@ TEST_F(TxnTest, KeylessWriteInvalidatesKeyedReads) {
   EXPECT_EQ(rt_a_.EndTx().code(), StatusCode::kAborted);
 }
 
-TEST_F(TxnTest, CrossObjectAtomicity) {
+TEST_P(TxnTest, CrossObjectAtomicity) {
   // Figure 4's pattern: read a map, conditionally update a list.
   TangoMap owners_a(&rt_a_, 1);
   TangoList list_a(&rt_a_, 2);
@@ -171,7 +181,7 @@ TEST_F(TxnTest, CrossObjectAtomicity) {
   EXPECT_EQ(all->size(), 1u);
 }
 
-TEST_F(TxnTest, CrossObjectConflictDetected) {
+TEST_P(TxnTest, CrossObjectConflictDetected) {
   TangoMap map1_a(&rt_a_, 1);
   TangoMap map2_a(&rt_a_, 2);
   TangoMap map1_b(&rt_b_, 1);
@@ -186,7 +196,7 @@ TEST_F(TxnTest, CrossObjectConflictDetected) {
   EXPECT_EQ(map2_a.Get("out").status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(TxnTest, ReadOnlyTxCommitsWithoutAppending) {
+TEST_P(TxnTest, ReadOnlyTxCommitsWithoutAppending) {
   TangoRegister reg(&rt_a_, 1);
   ASSERT_TRUE(reg.Write(5).ok());
   ASSERT_TRUE(reg.Read().ok());
@@ -202,7 +212,7 @@ TEST_F(TxnTest, ReadOnlyTxCommitsWithoutAppending) {
   EXPECT_EQ(*tail_before, *tail_after);  // no commit record in the log
 }
 
-TEST_F(TxnTest, ReadOnlyTxAbortsOnConflict) {
+TEST_P(TxnTest, ReadOnlyTxAbortsOnConflict) {
   TangoRegister reg_a(&rt_a_, 1);
   TangoRegister reg_b(&rt_b_, 1);
   ASSERT_TRUE(reg_a.Write(1).ok());
@@ -213,7 +223,7 @@ TEST_F(TxnTest, ReadOnlyTxAbortsOnConflict) {
   EXPECT_EQ(rt_a_.EndTx().code(), StatusCode::kAborted);
 }
 
-TEST_F(TxnTest, StaleSnapshotTx) {
+TEST_P(TxnTest, StaleSnapshotTx) {
   // §3.2: fast read-only transactions from stale snapshots decide locally.
   TangoRegister reg_a(&rt_a_, 1);
   TangoRegister reg_b(&rt_b_, 1);
@@ -233,7 +243,7 @@ TEST_F(TxnTest, StaleSnapshotTx) {
   EXPECT_EQ(rt_a_.EndTxStale().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(TxnTest, WriteOnlyTxCommitsImmediately) {
+TEST_P(TxnTest, WriteOnlyTxCommitsImmediately) {
   TangoMap map(&rt_a_, 1);
   ASSERT_TRUE(rt_a_.BeginTx().ok());
   ASSERT_TRUE(map.Put("a", "1").ok());
@@ -243,7 +253,7 @@ TEST_F(TxnTest, WriteOnlyTxCommitsImmediately) {
   EXPECT_TRUE(map.Get("b").ok());
 }
 
-TEST_F(TxnTest, RemoteWriteTransaction) {
+TEST_P(TxnTest, RemoteWriteTransaction) {
   // §4.1 B: a transaction can write an object it does not host; a client
   // hosting that object applies the write when it encounters the commit.
   TangoMap local(&rt_a_, 1);
@@ -266,14 +276,14 @@ TEST_F(TxnTest, RemoteWriteTransaction) {
   EXPECT_EQ(*moved, "x");
 }
 
-TEST_F(TxnTest, TransactionalReadOfUnhostedObjectRejected) {
+TEST_P(TxnTest, TransactionalReadOfUnhostedObjectRejected) {
   // §4.1 D: remote reads inside transactions are not supported.
   ASSERT_TRUE(rt_a_.BeginTx().ok());
   EXPECT_EQ(rt_a_.QueryHelper(77).code(), StatusCode::kInvalidArgument);
   rt_a_.AbortTx();
 }
 
-TEST_F(TxnTest, DecisionRecordsForPartitionedConsumers) {
+TEST_P(TxnTest, DecisionRecordsForPartitionedConsumers) {
   // Figure 6: App1 hosts A (read set) and C; App2 hosts only C.  App2 can't
   // evaluate the commit and must wait for App1's decision record.
   ObjectConfig needs_decision;
@@ -298,7 +308,7 @@ TEST_F(TxnTest, DecisionRecordsForPartitionedConsumers) {
   EXPECT_GE(rt_b_.stats().decision_stalls, 1u);
 }
 
-TEST_F(TxnTest, DecisionRecordAbortPropagates) {
+TEST_P(TxnTest, DecisionRecordAbortPropagates) {
   ObjectConfig needs_decision;
   needs_decision.needs_decision_records = true;
   TangoMap a_view(&rt_a_, 1);
@@ -326,14 +336,14 @@ TEST_F(TxnTest, DecisionRecordAbortPropagates) {
   EXPECT_EQ(c_at_b.Get("c").status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(TxnTest, OrphanedCommitPatchedByReadSetHost) {
+TEST_P(TxnTest, OrphanedCommitPatchedByReadSetHost) {
   // §4.1 Failure Handling: the generator "crashes" after the commit record
   // (we simulate by appending a commit record manually with no decision).
   // A client hosting the read set appends the decision after its timeout.
   ObjectConfig needs_decision;
   needs_decision.needs_decision_records = true;
 
-  TangoRuntime::Options patched_options;
+  TangoRuntime::Options patched_options = RuntimeOptions();
   patched_options.decision_timeout_ms = 30;
   auto patcher_client = MakeClient();
   TangoRuntime patcher(patcher_client.get(), patched_options);
@@ -379,7 +389,7 @@ TEST_F(TxnTest, OrphanedCommitPatchedByReadSetHost) {
   EXPECT_EQ(*value, "orphan");
 }
 
-TEST_F(TxnTest, ConcurrentTransactionsSerialize) {
+TEST_P(TxnTest, ConcurrentTransactionsSerialize) {
   // Two clients transactionally increment the same register value; every
   // increment must be serialized (no lost updates).
   TangoRegister reg_a(&rt_a_, 1);
@@ -423,6 +433,13 @@ TEST_F(TxnTest, ConcurrentTransactionsSerialize) {
   EXPECT_EQ(*final_a, 2 * kPerClient);
   EXPECT_EQ(*final_b, 2 * kPerClient);
 }
+
+INSTANTIATE_TEST_SUITE_P(PlaybackWorkers, TxnTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0
+                                      ? std::string("Sequential")
+                                      : "Engine" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tango

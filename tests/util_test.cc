@@ -588,6 +588,55 @@ TEST(ParallelDispatchTest, ZeroAndOneTaskDegenerate) {
   EXPECT_EQ(count.load(), 1);
 }
 
+TEST(ParallelDispatchTest, CallerRunsLegsNoWorkerStarted) {
+  // The only worker is parked, so no pool task can start: the caller must
+  // claim and run every leg itself instead of waiting for the worker.
+  Notification latch;
+  Notification dispatched;
+  Executor pool(1);  // declared last: joins before the latch is destroyed
+  pool.Submit([&latch] { latch.WaitForNotification(); });
+  // Opens the latch after 2 s at the latest, so a dispatcher that waits on
+  // the parked worker fails below instead of hanging.
+  std::thread watchdog([&] {
+    dispatched.WaitForNotificationWithTimeout(std::chrono::seconds(2));
+    latch.Notify();
+  });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(4);
+  ParallelDispatch(pool, ran_on.size(), [&ran_on](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  EXPECT_FALSE(latch.HasBeenNotified());
+  dispatched.Notify();
+  watchdog.join();
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << "leg " << i;
+  }
+  // ~Executor now runs the three stale tasks; they find every leg claimed.
+}
+
+TEST(ParallelDispatchTest, EveryLegRunsExactlyOnceUnderConcurrentCallers) {
+  Executor pool(2);
+  std::atomic<uint64_t> total{0};
+  uint64_t expected = 0;
+  for (int d = 0; d < 1000; ++d) {
+    expected += 8 * (1 + d % 5);
+  }
+  RunParallel(8, [&](int) {
+    for (int d = 0; d < 1000; ++d) {
+      std::vector<std::atomic<int>> hits(1 + d % 5);
+      ParallelDispatch(pool, hits.size(), [&](size_t i) {
+        hits[i].fetch_add(1);
+        total.fetch_add(1);
+      });
+      for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "dispatch " << d << " leg " << i;
+      }
+    }
+  });
+  EXPECT_EQ(total.load(), expected);
+}
+
 TEST(RetryPolicyTest, DeadlineBoundsDelayAndRetry) {
   RetryPolicy::Options options;
   options.initial_backoff_us = 60'000'000;  // would sleep a minute...
