@@ -93,20 +93,29 @@ Cell MeasureCell(int entries, uint32_t latency_us, int batch) {
 }
 
 // The observability overhead budget: the hot read path with the metrics
-// registry live vs SetMetricsEnabled(false), best of `reps` runs each.
-// DESIGN.md holds the registry to < 3% on this number.
+// registry live vs SetMetricsEnabled(false), over interleaved on/off pairs.
+// DESIGN.md holds the registry to < 3% on the median.
 struct ObsOverhead {
-  double enabled_eps = 0;
+  int pairs = 0;
+  double enabled_eps = 0;   // medians over the pairs
   double disabled_eps = 0;
-  double overhead_pct = 0;
+  double overhead_pct = 0;  // median of the per-pair overheads
+  double overhead_p25 = 0;  // their quartiles: the spread of the estimate
+  double overhead_p75 = 0;
 };
 
-ObsOverhead MeasureObsOverhead(int entries, int reps) {
+// The q-quantile (0..1) of `v` by nearest rank; sorts `v`.
+double Quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+}
+
+ObsOverhead MeasureObsOverhead(int entries, int pairs) {
   const corfu::StreamId stream = 7;
   const std::vector<uint8_t> payload(64, 0xab);
 
-  // One shared testbed with interleaved enabled/disabled replays (best of
-  // `reps` each), so setup and machine drift cancel out of the comparison.
+  // One shared testbed with interleaved enabled/disabled replays, so setup
+  // and machine drift cancel out of the comparison.
   Testbed bed(6, 2, 0);
   auto writer = bed.MakeClient();
   corfu::StreamStore wstore(writer.get());
@@ -152,13 +161,11 @@ ObsOverhead MeasureObsOverhead(int entries, int reps) {
 
   replay_once();  // warmup: page in code and allocator state
 
-  // Each rep measures an (enabled, disabled) pair back to back — order
-  // alternating to cancel drift — and the reported overhead is the median
-  // of the per-pair deltas, which shrugs off the occasional rep that lands
-  // on a scheduler hiccup.
-  ObsOverhead result;
-  std::vector<double> overheads;
-  for (int r = 0; r < reps; ++r) {
+  // Each pair measures enabled and disabled back to back, in alternating
+  // order to cancel drift.  The per-pair overheads give a median and its
+  // quartiles, so one pair that lands on a scheduler hiccup moves neither.
+  std::vector<double> enabled, disabled, overheads;
+  for (int r = 0; r < pairs; ++r) {
     double enabled_eps, disabled_eps;
     if (r % 2 == 0) {
       tango::obs::SetMetricsEnabled(true);
@@ -171,19 +178,25 @@ ObsOverhead MeasureObsOverhead(int entries, int reps) {
       tango::obs::SetMetricsEnabled(true);
       enabled_eps = replay_once();
     }
-    result.enabled_eps = std::max(result.enabled_eps, enabled_eps);
-    result.disabled_eps = std::max(result.disabled_eps, disabled_eps);
+    enabled.push_back(enabled_eps);
+    disabled.push_back(disabled_eps);
     overheads.push_back((disabled_eps - enabled_eps) * 100.0 / disabled_eps);
   }
   tango::obs::SetMetricsEnabled(true);
-  std::sort(overheads.begin(), overheads.end());
-  result.overhead_pct = overheads[overheads.size() / 2];
+  ObsOverhead result;
+  result.pairs = pairs;
+  result.enabled_eps = Quantile(enabled, 0.5);
+  result.disabled_eps = Quantile(disabled, 0.5);
+  result.overhead_pct = Quantile(overheads, 0.5);
+  result.overhead_p25 = Quantile(overheads, 0.25);
+  result.overhead_p75 = Quantile(overheads, 0.75);
   return result;
 }
 
 void Run(const Flags& flags) {
   const int entries = static_cast<int>(flags.GetInt("entries", 2000));
-  const int obs_reps = static_cast<int>(flags.GetInt("obs-reps", 9));
+  const int obs_reps =
+      std::max(1, static_cast<int>(flags.GetInt("obs-reps", 101)));
   const std::string json_path = flags.GetString("json", "");
   auto stats_dumper = MaybeStartStatsDumper(flags);
 
@@ -211,12 +224,12 @@ void Run(const Flags& flags) {
   const int obs_entries = std::max(entries, 10000);
   ObsOverhead obs = MeasureObsOverhead(obs_entries, obs_reps);
   std::printf(
-      "metrics-registry overhead (%d entries, latency 0, batch 32, median "
-      "of %d pairs):\n"
-      "  enabled %.0f entries/s, disabled %.0f entries/s (best) -> %.2f%% "
-      "(budget < 3%%)\n\n",
-      obs_entries, obs_reps, obs.enabled_eps, obs.disabled_eps,
-      obs.overhead_pct);
+      "metrics-registry overhead (%d entries, latency 0, batch 32, %d "
+      "interleaved pairs):\n"
+      "  enabled %.0f entries/s, disabled %.0f entries/s (medians) -> "
+      "%.2f%%, quartiles %.2f..%.2f%% (budget < 3%%)\n\n",
+      obs_entries, obs.pairs, obs.enabled_eps, obs.disabled_eps,
+      obs.overhead_pct, obs.overhead_p25, obs.overhead_p75);
 
   if (!json_path.empty()) {
     FILE* f = std::fopen(json_path.c_str(), "w");
@@ -227,10 +240,13 @@ void Run(const Flags& flags) {
     std::fprintf(f, "{\n  \"bench\": \"fig_readpath\",\n  \"entries\": %d,\n",
                  entries);
     std::fprintf(f,
-                 "  \"obs_overhead\": {\"enabled_entries_per_sec\": %.1f, "
+                 "  \"obs_overhead\": {\"pairs\": %d, "
+                 "\"enabled_entries_per_sec\": %.1f, "
                  "\"disabled_entries_per_sec\": %.1f, \"overhead_pct\": "
-                 "%.2f},\n",
-                 obs.enabled_eps, obs.disabled_eps, obs.overhead_pct);
+                 "%.2f, \"overhead_pct_p25\": %.2f, "
+                 "\"overhead_pct_p75\": %.2f},\n",
+                 obs.pairs, obs.enabled_eps, obs.disabled_eps,
+                 obs.overhead_pct, obs.overhead_p25, obs.overhead_p75);
     WriteRunInfoField(f);
     WriteMetricsField(f);
     std::fprintf(f, "  \"cells\": [\n");

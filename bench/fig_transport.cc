@@ -620,13 +620,6 @@ Cell RunCell(const char* mode, int conns, int duration_ms, uint16_t port,
 void Run(const Flags& flags) {
   RaiseFdLimit();
   const int duration_ms = static_cast<int>(flags.GetInt("duration-ms", 2000));
-  // Default to inline dispatch: the sequencer handler is pure in-memory
-  // work, and hopping it through the executor would only measure the
-  // handoff.  (The storage node registered below is idle in this bench —
-  // children drive the sequencer only.)  Pass --handler-threads=N to
-  // measure the pooled path instead.
-  const int handler_threads =
-      static_cast<int>(flags.GetInt("handler-threads", -1));
   const std::string conn_list =
       flags.GetString("conns", "36,1000,10000");
   const std::string baseline_list = flags.GetString("baseline-conns", "36");
@@ -662,9 +655,10 @@ void Run(const Flags& flags) {
     }
   }
 
-  tango::TcpTransport::Options opts;
-  opts.handler_threads = handler_threads;
-  tango::TcpTransport transport(opts);
+  // The sequencer declares its grants never-blocking, so the transport
+  // serves them on the event loop.  (The storage node registered below is
+  // idle in this bench — children drive the sequencer only.)
+  tango::TcpTransport transport;
   corfu::Sequencer sequencer(&transport, /*node=*/10, /*epoch=*/0, /*K=*/4);
   corfu::StorageNode storage(&transport, /*node=*/100,
                              corfu::StorageNode::Options{});
@@ -737,8 +731,8 @@ void Run(const Flags& flags) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"fig_transport\",\n"
-                 "  \"duration_ms\": %d,\n  \"handler_threads\": %d,\n",
-                 duration_ms, handler_threads);
+                 "  \"duration_ms\": %d,\n",
+                 duration_ms);
     WriteRunInfoField(f);
     WriteMetricsField(f);
     std::fprintf(

@@ -26,7 +26,7 @@ TimestampOracle::TimestampOracle(tango::Transport* transport, NodeId node)
                          resp.PutU64(next_.fetch_add(1));
                          return Status::Ok();
                        });
-  transport_->RegisterNode(node_, dispatcher_.AsHandler());
+  dispatcher_.Serve(transport_, node_);
 }
 
 TimestampOracle::~TimestampOracle() { transport_->UnregisterNode(node_); }
@@ -57,7 +57,7 @@ ItemStore::ItemStore(tango::Transport* transport, NodeId node)
   dispatcher_.Register(kLockAbort, [this](ByteReader& q, ByteWriter& p) {
     return HandleAbort(q, p);
   });
-  transport_->RegisterNode(node_, dispatcher_.AsHandler());
+  dispatcher_.Serve(transport_, node_);
 }
 
 ItemStore::~ItemStore() { transport_->UnregisterNode(node_); }

@@ -66,7 +66,7 @@ ProjectionStore::ProjectionStore(tango::Transport* transport, NodeId node,
                        [this](ByteReader& req, ByteWriter& resp) {
                          return HandlePropose(req, resp);
                        });
-  transport_->RegisterNode(node_, dispatcher_.AsHandler());
+  dispatcher_.Serve(transport_, node_);
 }
 
 ProjectionStore::~ProjectionStore() { transport_->UnregisterNode(node_); }

@@ -67,12 +67,16 @@ Sequencer::Sequencer(tango::Transport* transport, NodeId node, Epoch epoch,
       admission_.burst_tokens != 0 ? admission_.burst_tokens
                                    : admission_.capacity_tokens_per_sec / 8);
   global_bucket_.last_refill_us = tango::NowMicros();
-  dispatcher_.Register(kSequencerNext, [this](ByteReader& q, ByteWriter& p) {
-    return HandleNext(q, p);
-  });
-  dispatcher_.Register(kSequencerTail, [this](ByteReader& q, ByteWriter& p) {
-    return HandleTail(q, p);
-  });
+  // Grants and tail reads are counter work under mu_: they never block, so
+  // a TCP transport serves them on its event loop.
+  dispatcher_.Register(
+      kSequencerNext,
+      [this](ByteReader& q, ByteWriter& p) { return HandleNext(q, p); },
+      /*never_blocks=*/true);
+  dispatcher_.Register(
+      kSequencerTail,
+      [this](ByteReader& q, ByteWriter& p) { return HandleTail(q, p); },
+      /*never_blocks=*/true);
   dispatcher_.Register(kSequencerBootstrap,
                        [this](ByteReader& q, ByteWriter& p) {
                          return HandleBootstrap(q, p);
@@ -80,7 +84,7 @@ Sequencer::Sequencer(tango::Transport* transport, NodeId node, Epoch epoch,
   dispatcher_.Register(kSequencerDump, [this](ByteReader& q, ByteWriter& p) {
     return HandleDump(q, p);
   });
-  transport_->RegisterNode(node_, dispatcher_.AsHandler());
+  dispatcher_.Serve(transport_, node_);
 }
 
 Sequencer::~Sequencer() { transport_->UnregisterNode(node_); }

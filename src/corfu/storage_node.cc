@@ -9,6 +9,7 @@
 #include "src/storage/memory_backend.h"
 #include "src/storage/segment_store.h"
 #include "src/util/logging.h"
+#include "src/util/threading.h"
 
 namespace corfu {
 
@@ -36,9 +37,12 @@ StorageNode::StorageNode(tango::Transport* transport, NodeId node,
   batch_size_ = reg.GetHistogram("storage.read_batch.size");
   write_shed_ = reg.GetCounter("overload.storage.shed");
   inflight_writes_gauge_ = reg.GetGauge("overload.storage.inflight_writes");
-  dispatcher_.Register(kStorageWrite, [this](ByteReader& q, ByteWriter& p) {
-    return HandleWrite(q, p);
-  });
+  // A write that needs no fsync, roll or media sleep completes on the event
+  // loop; WriteLocal and the backend bounce the rest with kWouldBlock.
+  dispatcher_.Register(
+      kStorageWrite,
+      [this](ByteReader& q, ByteWriter& p) { return HandleWrite(q, p); },
+      /*never_blocks=*/true);
   dispatcher_.Register(kStorageRead, [this](ByteReader& q, ByteWriter& p) {
     return HandleRead(q, p);
   });
@@ -82,7 +86,7 @@ StorageNode::StorageNode(tango::Transport* transport, NodeId node,
   } else {
     backend_ = std::make_unique<MemoryBackend>();
   }
-  transport_->RegisterNode(node_, dispatcher_.AsHandler());
+  dispatcher_.Serve(transport_, node_);
 }
 
 StorageNode::~StorageNode() { transport_->UnregisterNode(node_); }
@@ -99,6 +103,9 @@ Status StorageNode::WriteLocal(Epoch epoch, LogOffset local,
                                std::vector<uint8_t> bytes) {
   if (bytes.size() > options_.page_size) {
     return Status(StatusCode::kInvalidArgument, "entry exceeds page size");
+  }
+  if (options_.write_latency_us != 0 && tango::MustNotBlock()) {
+    return Status(StatusCode::kWouldBlock);
   }
   // Admission bound: shed instead of convoying on the media lock.  The hint
   // is how long the excess queue ahead of the caller takes to drain on a

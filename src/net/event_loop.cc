@@ -120,6 +120,7 @@ void EventLoop::Remove(int fd) {
 
 void EventLoop::Run() {
   SetCurrentThreadName("tgo-loop");
+  SetMustNotBlock(true);
   loop_tid_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   constexpr int kMaxEvents = 256;
   epoll_event events[kMaxEvents];

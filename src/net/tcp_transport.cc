@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -84,6 +85,9 @@ struct TcpGauges {
   obs::Gauge* server_inflight;  // requests currently inside a handler
   obs::Gauge* client_inflight;  // Call()s currently waiting on a response
   obs::Gauge* write_queue;      // bytes parked in loop-side write queues
+  obs::Counter* dispatch_loop;     // requests served on the event loop
+  obs::Counter* dispatch_pool;     // requests served on the handler pool
+  obs::Counter* dispatch_bounced;  // loop attempts that returned kWouldBlock
 };
 
 TcpGauges& TheTcpGauges() {
@@ -92,7 +96,10 @@ TcpGauges& TheTcpGauges() {
     return TcpGauges{reg.GetGauge("net.tcp.connections"),
                      reg.GetGauge("net.tcp.server_inflight"),
                      reg.GetGauge("net.tcp.client_inflight"),
-                     reg.GetGauge("net.tcp.write_queue_bytes")};
+                     reg.GetGauge("net.tcp.write_queue_bytes"),
+                     reg.GetCounter("net.tcp.dispatch.loop"),
+                     reg.GetCounter("net.tcp.dispatch.pool"),
+                     reg.GetCounter("net.tcp.dispatch.bounced")};
   }();
   return g;
 }
@@ -116,12 +123,21 @@ struct ByteQueue {
     }
   }
 
-  void Append(const uint8_t* p, size_t n) {
+  // Grows the queue by `n` bytes and returns where they start.
+  uint8_t* Extend(size_t n) {
     if (start > (1u << 20) && start > data.size() - start) {
       data.erase(data.begin(), data.begin() + static_cast<ptrdiff_t>(start));
       start = 0;
     }
-    data.insert(data.end(), p, p + n);
+    size_t off = data.size();
+    data.resize(off + n);
+    return data.data() + off;
+  }
+
+  void Append(const uint8_t* p, size_t n) {
+    if (n != 0) {
+      std::memcpy(Extend(n), p, n);
+    }
   }
 
   void Clear() {
@@ -157,6 +173,19 @@ ReadStatus ReadSome(int fd, ByteQueue* buf) {
   return ReadStatus::kMore;  // cap hit; level-triggered epoll re-fires
 }
 
+// Serializes a response frame into the 4 + kRespHeaderBytes + payload bytes
+// at `p`: straight into a staging or write buffer, with no frame allocation.
+void EncodeResponse(uint8_t* p, uint64_t corr, const Status& st,
+                    std::span<const uint8_t> payload) {
+  PutU32Le(p, kRespHeaderBytes + static_cast<uint32_t>(payload.size()));
+  PutU64Le(p + 4, corr);
+  p[12] = static_cast<uint8_t>(st.code());
+  PutU32Le(p + 13, st.retry_after_us());
+  if (!payload.empty()) {
+    std::memcpy(p + 4 + kRespHeaderBytes, payload.data(), payload.size());
+  }
+}
+
 // Keeps the shared write-queue gauge in sync with a connection's out queue.
 void SyncQueueGauge(size_t* gauged, size_t now) {
   if (now != *gauged) {
@@ -172,7 +201,8 @@ void SyncQueueGauge(size_t* gauged, size_t now) {
 // Server side: Listener owns the accept socket and the in-flight barrier;
 // each accepted socket becomes a ServerConn whose buffers and framing state
 // live on the loop thread, with a mutex-guarded staging area where handler
-// threads park completed responses.
+// threads park completed responses.  Requests for the listener's loop
+// methods are served on the loop and answered straight into `out`.
 // ---------------------------------------------------------------------------
 
 struct TcpTransport::Listener
@@ -183,6 +213,9 @@ struct TcpTransport::Listener
   uint16_t port = 0;
   NodeId node = kInvalidNodeId;
   RpcHandler handler;
+  // Methods the registering RpcDispatcher declared never-blocking: served
+  // on the loop thread unless they return kWouldBlock.
+  std::vector<uint16_t> loop_methods;
 
   // Set (before closing sockets) by UnregisterNode: no handler is invoked
   // once this is observed true.
@@ -206,9 +239,10 @@ struct TcpTransport::Listener
   bool flush_posted = false;
 
   void OnAcceptable();
-  void Dispatch(const std::shared_ptr<ServerConn>& conn, uint64_t corr,
-                uint16_t method, obs::TraceContext ctx,
-                std::vector<uint8_t> payload);
+  Status Serve(uint16_t method, obs::TraceContext ctx,
+               std::span<const uint8_t> payload, ByteWriter& writer);
+  void Dispatch(ServerConn* conn, uint64_t corr, uint16_t method,
+                obs::TraceContext ctx, std::span<const uint8_t> payload);
   void FlushDirty();
   void HandlerDone();
   void WaitIdle();
@@ -272,46 +306,55 @@ void TcpTransport::Listener::OnAcceptable() {
   }
 }
 
-void TcpTransport::Listener::Dispatch(const std::shared_ptr<ServerConn>& conn,
-                                      uint64_t corr, uint16_t method,
-                                      obs::TraceContext ctx,
-                                      std::vector<uint8_t> payload) {
+Status TcpTransport::Listener::Serve(uint16_t method, obs::TraceContext ctx,
+                                     std::span<const uint8_t> payload,
+                                     ByteWriter& writer) {
+  obs::RpcMethodStats& rpc = obs::RpcStatsFor(method);
+  // The span closes before the response is staged, so a traced caller sees
+  // the server-side span as soon as its Call returns.
+  obs::TraceScope span(rpc.span_name, ctx, node);
+  ByteReader reader(payload.data(), payload.size());
+  TheTcpGauges().server_inflight->Add(1);
+  Status st = handler(method, reader, writer);
+  TheTcpGauges().server_inflight->Add(-1);
+  return st;
+}
+
+void TcpTransport::Listener::Dispatch(ServerConn* conn, uint64_t corr,
+                                      uint16_t method, obs::TraceContext ctx,
+                                      std::span<const uint8_t> payload) {
   if (closed.load(std::memory_order_acquire)) {
     return;
   }
+  if (std::find(loop_methods.begin(), loop_methods.end(), method) !=
+      loop_methods.end()) {
+    ByteWriter writer;
+    Status st = Serve(method, ctx, payload, writer);
+    if (st.code() != StatusCode::kWouldBlock) {
+      TheTcpGauges().dispatch_loop->Add();
+      EncodeResponse(conn->out.Extend(4 + kRespHeaderBytes + writer.size()),
+                     corr, st, writer.bytes());
+      return;
+    }
+    TheTcpGauges().dispatch_bounced->Add();
+  }
+  TheTcpGauges().dispatch_pool->Add();
   {
     std::lock_guard<std::mutex> lock(inflight_mu);
     ++inflight;
   }
-  auto self = shared_from_this();
-  auto work = [self, conn, corr, method, ctx,
-               payload = std::move(payload)]() {
+  auto work = [self = shared_from_this(), conn = conn->shared_from_this(),
+               corr, method, ctx,
+               payload = std::vector<uint8_t>(payload.begin(), payload.end())] {
     // A task that raced UnregisterNode runs but must not invoke the handler.
     if (!self->closed.load(std::memory_order_acquire)) {
-      obs::RpcMethodStats& rpc = obs::RpcStatsFor(method);
       ByteWriter writer;
-      Status st;
-      {
-        // Close the span before the response is staged, so a traced caller
-        // sees the server-side span as soon as its Call returns.
-        obs::TraceScope span(rpc.span_name, ctx, self->node);
-        ByteReader reader(payload.data(), payload.size());
-        TheTcpGauges().server_inflight->Add(1);
-        st = self->handler(method, reader, writer);
-        TheTcpGauges().server_inflight->Add(-1);
-      }
+      Status st = self->Serve(method, ctx, payload, writer);
       conn->StageResponse(corr, st, writer.bytes());
     }
     self->HandlerDone();
   };
-  if (handlers != nullptr) {
-    handlers->Submit(std::move(work));
-  } else {
-    // Inline mode: the handler runs on the loop thread itself — zero
-    // cross-thread handoffs per request.  Only safe because the owner
-    // promised (Options::handler_threads = -1) the handler never blocks.
-    work();
-  }
+  handlers->Submit(std::move(work));
 }
 
 void TcpTransport::Listener::HandlerDone() {
@@ -381,10 +424,14 @@ void TcpTransport::ServerConn::OnReadable() {
     uint64_t corr = GetU64Le(p);
     uint16_t method = GetU16Le(p + 8);
     obs::TraceContext ctx{GetU64Le(p + 10), GetU64Le(p + 18)};
-    std::vector<uint8_t> payload(p + kReqHeaderBytes, p + len);
-    listener->Dispatch(shared_from_this(), corr, method, ctx,
-                       std::move(payload));
+    listener->Dispatch(this, corr, method, ctx,
+                       std::span<const uint8_t>(p + kReqHeaderBytes,
+                                                len - kReqHeaderBytes));
     in.Consume(4 + len);
+  }
+  // Responses served on the loop leave in one send per read batch.
+  if (!out.empty()) {
+    DrainWrites();
   }
   if (rs != ReadStatus::kMore) {
     CloseOnLoop();
@@ -425,22 +472,12 @@ void TcpTransport::ServerConn::UpdateInterest() {
 
 void TcpTransport::ServerConn::StageResponse(
     uint64_t corr, const Status& st, const std::vector<uint8_t>& payload) {
-  uint32_t resp_len = kRespHeaderBytes + static_cast<uint32_t>(payload.size());
   bool newly_dirty = false;
   {
-    // The response frame is serialized straight into the staging buffer —
-    // no intermediate frame allocation on the per-response hot path.
     std::lock_guard<std::mutex> lock(staged_mu);
     size_t off = staged.size();
-    staged.resize(off + 4 + resp_len);
-    PutU32Le(staged.data() + off, resp_len);
-    PutU64Le(staged.data() + off + 4, corr);
-    staged[off + 12] = static_cast<uint8_t>(st.code());
-    PutU32Le(staged.data() + off + 13, st.retry_after_us());
-    if (!payload.empty()) {
-      std::memcpy(staged.data() + off + 4 + kRespHeaderBytes, payload.data(),
-                  payload.size());
-    }
+    staged.resize(off + 4 + kRespHeaderBytes + payload.size());
+    EncodeResponse(staged.data() + off, corr, st, payload);
     if (!flush_posted) {
       flush_posted = true;
       newly_dirty = true;
@@ -714,8 +751,7 @@ void TcpTransport::ClientConn::Die(const char* why) {
 // ---------------------------------------------------------------------------
 
 TcpTransport::TcpTransport(Options options)
-    : handler_threads_opt_(options.handler_threads),
-      call_timeout_ms_(options.call_timeout_ms),
+    : call_timeout_ms_(options.call_timeout_ms),
       loop_(std::make_unique<EventLoop>()) {}
 
 TcpTransport::~TcpTransport() {
@@ -780,14 +816,9 @@ void TcpTransport::RegisterNode(NodeId node, RpcHandler handler) {
       requested_port = it->second;
     }
     address = listen_address_;
-    // handler_threads < 0 selects inline dispatch (no pool at all); the
-    // listener's null `handlers` pointer is the marker.
-    if (!handlers_ && handler_threads_opt_ >= 0) {
+    if (!handlers_) {
       unsigned hw = std::thread::hardware_concurrency();
-      int n = handler_threads_opt_ > 0
-                  ? handler_threads_opt_
-                  : static_cast<int>(hw < 4 ? 4 : hw);
-      handlers_ = std::make_unique<Executor>(n);
+      handlers_ = std::make_unique<Executor>(static_cast<int>(hw < 4 ? 4 : hw));
     }
   }
 
@@ -796,6 +827,9 @@ void TcpTransport::RegisterNode(NodeId node, RpcHandler handler) {
   listener->handlers = handlers_.get();
   listener->node = node;
   listener->handler = std::move(handler);
+  if (const auto* methods = RpcDispatcher::NeverBlockingBeingServed()) {
+    listener->loop_methods = *methods;
+  }
 
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   TANGO_CHECK(fd >= 0) << "socket() failed";
@@ -957,6 +991,11 @@ void TcpTransport::DropConnectionIfSame(NodeId dest, const ClientConn* conn) {
 Status TcpTransport::Call(NodeId dest, uint16_t method,
                           std::span<const uint8_t> request,
                           std::vector<uint8_t>* response) {
+  if (MustNotBlock()) {
+    // Waiting for a response on an event loop would stall it, and on this
+    // transport's own loop would wait forever: the caller reruns elsewhere.
+    return Status(StatusCode::kWouldBlock, "rpc from an event loop thread");
+  }
   obs::RpcMethodStats& rpc = obs::RpcStatsFor(method);
   rpc.calls->Add();
   // Opened before the context is serialized so the server's span parents

@@ -16,11 +16,14 @@
 // Architecture: one EventLoop thread per transport owns every socket —
 // listeners, accepted server connections, and cached client connections.
 // All socket I/O is nonblocking with per-connection read/write buffers and
-// incremental framing; nothing on the loop ever blocks.  Decoded requests
-// are dispatched to a fixed-size handler Executor (handlers may block on
-// fsync etc.), and completed responses are staged back to the loop for
-// writing.  Client-side, Call() assigns a correlation id, enqueues its frame
-// on the shared per-destination connection, and parks on a notification until
+// incremental framing; nothing on the loop ever blocks.  Methods that their
+// RpcDispatcher declared never-blocking (sequencer grant and tail, storage
+// write) run on the loop and answer straight into the write queue.  One that
+// would have to wait (an fsync, a segment roll) returns kWouldBlock, which
+// never reaches the wire: the request reruns on the handler Executor, where
+// every other request runs and stages its response back to the loop.
+// Client-side, Call() assigns a correlation id, enqueues its frame on the
+// shared per-destination connection, and parks on a notification until
 // the loop demuxes the matching response — so 10k concurrent callers cost
 // 10k sockets, not 10k threads.
 //
@@ -55,14 +58,6 @@ class TcpTransport : public Transport {
     // server round trip: a hung or unreachable peer surfaces as kTimeout
     // instead of blocking the caller forever.  0 = block indefinitely.
     uint32_t call_timeout_ms = 0;
-
-    // Worker threads executing RPC handlers (handlers may block, so they
-    // never run on the event loop).  0 = max(4, hardware_concurrency).
-    // -1 = inline mode: handlers run directly on the loop thread, removing
-    // the per-request executor handoff.  Only for handlers that NEVER block
-    // (e.g. a pure in-memory sequencer); a blocking inline handler stalls
-    // every connection on the transport.
-    int handler_threads = 0;
   };
 
   TcpTransport() : TcpTransport(Options{}) {}
@@ -72,12 +67,15 @@ class TcpTransport : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
+  // Fails fast with kWouldBlock on a thread that must not block (an event
+  // loop): a loop-served handler that needs an RPC is rerun on the pool.
   Status Call(NodeId dest, uint16_t method, std::span<const uint8_t> request,
               std::vector<uint8_t>* response) override;
 
   // Starts a listener on 127.0.0.1 with an OS-assigned port and serves
-  // `handler` on it.  The chosen address is registered so Call() on this
-  // transport can reach it; remote processes would use AddRoute().
+  // `handler` on it (on the loop for the methods RpcDispatcher::Serve
+  // declares never-blocking).  The chosen address is registered so Call() on
+  // this transport can reach it; remote processes would use AddRoute().
   // Re-registering a node replaces its listener (new port unless pinned).
   void RegisterNode(NodeId node, RpcHandler handler) override;
 
@@ -115,7 +113,6 @@ class TcpTransport : public Transport {
   void DropConnectionIfSame(NodeId dest, const ClientConn* conn);
   void ShutdownListener(const std::shared_ptr<Listener>& listener);
 
-  const int handler_threads_opt_;
   std::atomic<uint32_t> call_timeout_ms_{0};
   // Declared before handlers_ so it is destroyed after: draining handler
   // tasks may still post response flushes to the loop.

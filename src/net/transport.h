@@ -64,13 +64,30 @@ class RpcDispatcher {
   using Method =
       std::function<Status(ByteReader& req, ByteWriter& resp)>;
 
-  void Register(uint16_t method, Method fn) { methods_[method] = std::move(fn); }
+  // `never_blocks`: `fn` may run on an event loop, returning kWouldBlock
+  // without side effects where it would wait while MustNotBlock().
+  void Register(uint16_t method, Method fn, bool never_blocks = false) {
+    methods_[method] = std::move(fn);
+    if (never_blocks) {
+      never_blocking_.push_back(method);
+    }
+  }
 
-  // Adapts this table to the Transport's RpcHandler signature.
-  RpcHandler AsHandler() {
-    return [this](uint16_t method, ByteReader& req, ByteWriter& resp) {
-      return Dispatch(method, req, resp);
-    };
+  // Serves this table as `node`.  The never-blocking methods reach the
+  // transport through NeverBlockingBeingServed() during RegisterNode, past
+  // decorators that wrap the handler and forward RegisterNode synchronously.
+  void Serve(Transport* transport, NodeId node) {
+    serving_ = &never_blocking_;
+    transport->RegisterNode(
+        node, [this](uint16_t method, ByteReader& req, ByteWriter& resp) {
+          return Dispatch(method, req, resp);
+        });
+    serving_ = nullptr;
+  }
+
+  // Set only inside Serve, on its thread.
+  static const std::vector<uint16_t>* NeverBlockingBeingServed() {
+    return serving_;
   }
 
   Status Dispatch(uint16_t method, ByteReader& req, ByteWriter& resp) {
@@ -82,7 +99,10 @@ class RpcDispatcher {
   }
 
  private:
+  static inline thread_local const std::vector<uint16_t>* serving_ = nullptr;
+
   std::unordered_map<uint16_t, Method> methods_;
+  std::vector<uint16_t> never_blocking_;
 };
 
 }  // namespace tango

@@ -38,7 +38,7 @@ StatsService::StatsService(Transport* transport, NodeId node)
         }
         return Status(StatusCode::kInvalidArgument, "unknown stats kind");
       });
-  transport_->RegisterNode(node_, dispatcher_.AsHandler());
+  dispatcher_.Serve(transport_, node_);
 }
 
 StatsService::~StatsService() { transport_->UnregisterNode(node_); }

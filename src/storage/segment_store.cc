@@ -576,11 +576,29 @@ Result<std::vector<uint8_t>> SegmentStoreBackend::ReadPageLocked(
                               record.end());
 }
 
+bool SegmentStoreBackend::PutWouldWaitLocked(size_t record_size) const {
+  const Segment& active = segments_.at(active_id_);
+  bool needs_roll =
+      active.end != 0 && active.end + record_size > options_.segment_bytes;
+  // WaitDurableLocked fsyncs once the record's flush leaves `fsync_batch`
+  // or more records unsynced.
+  bool needs_fsync = options_.fsync_batch <= 1 ||
+                     accepted_seq_ + 1 - synced_seq_ >= options_.fsync_batch;
+  return rolling_ || needs_roll || writer_active_ || syncer_active_ ||
+         needs_fsync;
+}
+
 Status SegmentStoreBackend::Put(Epoch epoch, LogOffset local,
                                 std::span<const uint8_t> bytes) {
+  const size_t record_size = kFrameHeader + kBodyHeader + bytes.size();
   std::unique_lock<std::mutex> lk(mu_);
-  TANGO_RETURN_IF_ERROR(
-      EnsureRoomLocked(kFrameHeader + kBodyHeader + bytes.size(), lk));
+  // On an event loop, only a write this thread can finish with one write(2)
+  // is admitted; decided before admission so a bounced write is admitted
+  // once, by its rerun.
+  if (tango::MustNotBlock() && PutWouldWaitLocked(record_size)) {
+    return Status(StatusCode::kWouldBlock);
+  }
+  TANGO_RETURN_IF_ERROR(EnsureRoomLocked(record_size, lk));
   m_wbuf_bytes_->Set(static_cast<int64_t>(buf_.size()));
   if (options_.max_buffer_bytes != 0 && buf_.size() > options_.max_buffer_bytes) {
     // The group write buffer is backed up behind a slow device: shed rather

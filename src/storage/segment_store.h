@@ -21,7 +21,10 @@
 // reach the kernel (crash-consistent against kill -9) and the store fsyncs
 // every Nth record (bounding the power-loss window); N=1 fsyncs every
 // append.  A background flusher closes the window by time as well.  Seals
-// always fsync — fencing must not be reorderable with a power cut.
+// always fsync — fencing must not be reorderable with a power cut.  On a
+// thread that must not block (an event loop, see MustNotBlock()), Put
+// returns kWouldBlock without admitting when the record would wait on a
+// roll, another writer or syncer, or an fsync.
 //
 // Recovery: Open scans the segments in order, replaying records to rebuild
 // the page index, sealed epoch, trim state and local tail.  A short or
@@ -166,6 +169,9 @@ class SegmentStoreBackend : public StorageBackend {
   // Shared by runtime TrimPrefix, recovery replay and checkpoint replay.
   void ApplyTrimPrefixLocked(LogOffset limit);
 
+  // Whether a Put of `record_size` bytes would wait for another writer or
+  // syncer, a segment roll or an fsync, rather than one write(2) of its own.
+  bool PutWouldWaitLocked(size_t record_size) const;
   // Rolls the active segment if `record_size` would overflow it.  May drop
   // the lock (roll waits for the in-flight flush), so protocol checks must
   // happen AFTER this returns.

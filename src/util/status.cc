@@ -36,6 +36,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "INTERNAL";
     case StatusCode::kBusy:
       return "BUSY";
+    case StatusCode::kWouldBlock:
+      return "WOULD_BLOCK";
   }
   return "UNKNOWN";
 }

@@ -51,6 +51,10 @@ enum class StatusCode : uint8_t {
   // retry-after hint (Status::retry_after_us) telling the client how long to
   // back off before retrying; retrying sooner just feeds the storm.
   kBusy,
+  // In-process only, never on the wire: the operation would have had to
+  // block on a thread that must not (MustNotBlock()) and changed nothing.
+  // The transport reruns it on a handler thread.
+  kWouldBlock,
 };
 
 // Returns a stable human-readable name for a status code.

@@ -17,6 +17,16 @@ void SetCurrentThreadName(const char* name) {
 }
 
 namespace {
+thread_local bool t_must_not_block = false;
+}  // namespace
+
+bool MustNotBlock() { return t_must_not_block; }
+
+void SetMustNotBlock(bool must_not_block) {
+  t_must_not_block = must_not_block;
+}
+
+namespace {
 
 // Aggregate occupancy gauges across every Executor in the process (the
 // shared pool plus any private ones): tasks waiting in queues and tasks

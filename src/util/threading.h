@@ -22,6 +22,14 @@ namespace tango {
 // wedged process reads as a component inventory.
 void SetCurrentThreadName(const char* name);
 
+// True on a thread that must never block: an EventLoop thread, which serves
+// the RPC methods a service declared non-blocking.  Code that would have to
+// wait there (an fsync, a contended group write, a nested RPC) returns
+// StatusCode::kWouldBlock without side effects instead, and the transport
+// reruns the request on a thread that may block.
+bool MustNotBlock();
+void SetMustNotBlock(bool must_not_block);
+
 // One-shot event: threads block in WaitForNotification() until Notify().
 class Notification {
  public:

@@ -14,10 +14,12 @@
 #include <set>
 #include <thread>
 
+#include "src/net/event_loop.h"
 #include "src/storage/fault_fs.h"
 #include "src/storage/segment_store.h"
 #include "src/util/crc32c.h"
 #include "src/util/random.h"
+#include "src/util/threading.h"
 #include "tests/test_env.h"
 
 namespace corfu::storage {
@@ -356,6 +358,86 @@ TEST_F(SegmentStoreTest, ConcurrentAppendersGroupCommit) {
     ASSERT_TRUE(page.ok()) << "offset " << i;
     EXPECT_EQ(Str(*page), std::to_string(i));
   }
+}
+
+// Runs store->Put on an event-loop thread, where MustNotBlock() holds.
+tango::Status PutOnLoop(tango::EventLoop& loop, SegmentStoreBackend* store,
+                        LogOffset local, const std::string& value) {
+  tango::Status st;
+  loop.PostAndWait([&] { st = store->Put(0, local, Bytes(value)); });
+  return st;
+}
+
+TEST_F(SegmentStoreTest, LoopPutBouncesWhenEveryAckNeedsAnFsync) {
+  tango::EventLoop loop;
+  auto opts = Opts();
+  opts.fsync_batch = 1;
+  auto store = MustOpen(opts);
+  EXPECT_EQ(PutOnLoop(loop, store.get(), 0, "a").code(),
+            StatusCode::kWouldBlock);
+  EXPECT_EQ(store->PageCount(), 0u);
+  EXPECT_EQ(store->fsyncs(), 0u);
+  // The rerun off the loop admits the record: once, so not kWritten.
+  EXPECT_TRUE(store->Put(0, 0, Bytes("a")).ok());
+  EXPECT_EQ(store->PageCount(), 1u);
+  EXPECT_EQ(store->fsyncs(), 1u);
+  store.reset();
+  auto revived = MustOpen(Opts());
+  EXPECT_EQ(revived->recovery_stats().records_replayed, 1u);
+  EXPECT_EQ(Str(*revived->Get(0, 0)), "a");
+}
+
+TEST_F(SegmentStoreTest, LoopPutBouncesOnTheRecordThatCompletesAnFsyncBatch) {
+  tango::EventLoop loop;
+  auto opts = Opts();
+  opts.fsync_batch = 4;
+  auto store = MustOpen(opts);
+  for (LogOffset o = 0; o < 3; ++o) {
+    ASSERT_TRUE(PutOnLoop(loop, store.get(), o, "v").ok()) << o;
+  }
+  EXPECT_EQ(store->fsyncs(), 0u);
+  // The 4th unsynced record's ack would wait for an fsync.
+  EXPECT_EQ(PutOnLoop(loop, store.get(), 3, "v").code(),
+            StatusCode::kWouldBlock);
+  EXPECT_EQ(store->PageCount(), 3u);
+  EXPECT_EQ(store->fsyncs(), 0u);
+  EXPECT_TRUE(store->Put(0, 3, Bytes("v")).ok());
+  EXPECT_EQ(store->PageCount(), 4u);
+  EXPECT_EQ(store->fsyncs(), 1u);
+  // The fsync opened a fresh batch: the loop takes writes again.
+  EXPECT_TRUE(PutOnLoop(loop, store.get(), 4, "v").ok());
+  EXPECT_EQ(store->PageCount(), 5u);
+  EXPECT_EQ(store->fsyncs(), 1u);
+}
+
+TEST_F(SegmentStoreTest, LoopPutBouncesWhenItWouldRollTheSegment) {
+  tango::EventLoop loop;
+  auto opts = Opts();
+  opts.segment_bytes = 256;
+  opts.fsync_batch = 1000;
+  auto store = MustOpen(opts);
+  const std::string value(40, 'x');  // 61-byte records: 4 per segment
+  LogOffset o = 0;
+  tango::Status st;
+  while ((st = PutOnLoop(loop, store.get(), o, value)).ok()) {
+    ++o;
+  }
+  EXPECT_EQ(st.code(), StatusCode::kWouldBlock);
+  EXPECT_EQ(o, 4u);
+  EXPECT_EQ(store->segment_count(), 1u);
+  EXPECT_EQ(store->PageCount(), 4u);
+  EXPECT_EQ(store->fsyncs(), 0u);
+  // Off the loop the write rolls (fsyncing the outgoing segment) and lands
+  // once in the new segment.
+  EXPECT_TRUE(store->Put(0, o, Bytes(value)).ok());
+  EXPECT_EQ(store->segment_count(), 2u);
+  EXPECT_EQ(store->PageCount(), 5u);
+  EXPECT_EQ(store->fsyncs(), 1u);
+  EXPECT_TRUE(PutOnLoop(loop, store.get(), o + 1, value).ok());
+  store.reset();
+  auto revived = MustOpen(Opts());
+  EXPECT_EQ(revived->recovery_stats().records_replayed, 6u);
+  EXPECT_EQ(revived->PageCount(), 6u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "src/corfu/storage_node.h"
 #include "src/net/inproc_transport.h"
+#include "src/net/tcp_transport.h"
+#include "src/obs/metrics.h"
+#include "src/storage/segment_store.h"
 #include "src/util/threading.h"
 #include "tests/test_env.h"
 
@@ -136,6 +143,123 @@ TEST(StorageNodeLatencyTest, SimulatedWriteLatency) {
   uint64_t start = tango::NowMicros();
   ASSERT_TRUE(node.WriteLocal(0, 0, Bytes("x")).ok());
   EXPECT_GE(tango::NowMicros() - start, 1500u);
+}
+
+// --- Write dispatch over TCP ---------------------------------------------------
+
+uint64_t DispatchCount(const std::string& where) {
+  return tango::obs::MetricsRegistry::Default()
+      .GetCounter("net.tcp.dispatch." + where)
+      ->Value();
+}
+
+tango::Status RpcWrite(tango::Transport& t, LogOffset local,
+                       const std::string& value) {
+  tango::ByteWriter w;
+  w.PutU32(0);
+  w.PutU64(local);
+  w.PutBlob(Bytes(value));
+  return t.Call(1, kStorageWrite, w.bytes(), nullptr);
+}
+
+// Net change in the loop / pool / bounced dispatch counters across `fn`.
+struct DispatchDelta {
+  uint64_t loop, pool, bounced;
+};
+
+template <typename Fn>
+DispatchDelta Measure(Fn fn) {
+  uint64_t loop = DispatchCount("loop"), pool = DispatchCount("pool"),
+           bounced = DispatchCount("bounced");
+  fn();
+  return {DispatchCount("loop") - loop, DispatchCount("pool") - pool,
+          DispatchCount("bounced") - bounced};
+}
+
+class StorageNodeTcpTest : public ::testing::Test {
+ protected:
+  ~StorageNodeTcpTest() override {
+    node_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  void Start(StorageNode::Options options) {
+    node_ = std::make_unique<StorageNode>(&transport_, 1, options);
+  }
+
+  StorageNode::Options Durable(uint32_t fsync_batch) {
+    StorageNode::Options options;
+    options.data_dir = dir_.string();
+    options.fsync_batch = fsync_batch;
+    options.flush_interval_ms = 0;
+    return options;
+  }
+
+  storage::SegmentStoreBackend* store() {
+    return static_cast<storage::SegmentStoreBackend*>(node_->backend());
+  }
+
+  std::filesystem::path dir_ = std::filesystem::temp_directory_path() /
+                               ("tango-node-tcp-" + std::to_string(::getpid()));
+  tango::TcpTransport transport_;
+  std::unique_ptr<StorageNode> node_;
+};
+
+TEST_F(StorageNodeTcpTest, MemoryWriteIsServedOnTheLoop) {
+  Start(StorageNode::Options{});
+  DispatchDelta d =
+      Measure([&] { ASSERT_TRUE(RpcWrite(transport_, 0, "a").ok()); });
+  EXPECT_EQ(d.loop, 1u);
+  EXPECT_EQ(d.pool, 0u);
+  EXPECT_EQ(d.bounced, 0u);
+  // Reads are not declared never-blocking: they stay on the pool.
+  tango::ByteWriter r;
+  r.PutU32(0);
+  r.PutU64(0);
+  d = Measure([&] {
+    ASSERT_TRUE(transport_.Call(1, kStorageRead, r.bytes(), nullptr).ok());
+  });
+  EXPECT_EQ(d.loop, 0u);
+  EXPECT_EQ(d.pool, 1u);
+}
+
+TEST_F(StorageNodeTcpTest, SimulatedMediaLatencyBouncesToThePool) {
+  StorageNode::Options options;
+  options.write_latency_us = 500;
+  Start(options);
+  DispatchDelta d =
+      Measure([&] { ASSERT_TRUE(RpcWrite(transport_, 0, "a").ok()); });
+  EXPECT_EQ(d.loop, 0u);
+  EXPECT_EQ(d.pool, 1u);
+  EXPECT_EQ(d.bounced, 1u);
+  EXPECT_EQ(node_->PageCount(), 1u);
+}
+
+TEST_F(StorageNodeTcpTest, DurableWriteNeedingAnFsyncIsAdmittedOnceOnThePool) {
+  Start(Durable(/*fsync_batch=*/1));
+  DispatchDelta d =
+      Measure([&] { ASSERT_TRUE(RpcWrite(transport_, 0, "a").ok()); });
+  EXPECT_EQ(d.loop, 0u);
+  EXPECT_EQ(d.pool, 1u);
+  EXPECT_EQ(d.bounced, 1u);
+  EXPECT_EQ(node_->PageCount(), 1u);
+  EXPECT_EQ(store()->fsyncs(), 1u);
+  EXPECT_EQ(RpcWrite(transport_, 0, "b").code(), StatusCode::kWritten);
+}
+
+TEST_F(StorageNodeTcpTest, DurableWritesBetweenFsyncsAreServedOnTheLoop) {
+  Start(Durable(/*fsync_batch=*/4));
+  DispatchDelta d = Measure([&] {
+    for (LogOffset o = 0; o < 8; ++o) {
+      ASSERT_TRUE(RpcWrite(transport_, o, "v").ok()) << o;
+    }
+  });
+  // Records 4 and 8 each complete a batch of 4 and bounce for the fsync.
+  EXPECT_EQ(d.loop, 6u);
+  EXPECT_EQ(d.pool, 2u);
+  EXPECT_EQ(d.bounced, 2u);
+  EXPECT_EQ(node_->PageCount(), 8u);
+  EXPECT_EQ(store()->fsyncs(), 2u);
 }
 
 }  // namespace

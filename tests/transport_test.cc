@@ -16,8 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/net/breaker.h"
 #include "src/net/inproc_transport.h"
 #include "src/net/tcp_transport.h"
+#include "src/obs/metrics.h"
 #include "src/util/threading.h"
 
 namespace tango {
@@ -570,6 +572,147 @@ TEST(TcpTransportTest, UnregisterWaitsForInflightHandlers) {
   t.UnregisterNode(7);
   torn_down.store(true);
   caller.join();
+}
+
+// --- Per-method dispatch -------------------------------------------------------
+
+uint64_t DispatchCount(const std::string& where) {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("net.tcp.dispatch." + where)
+      ->Value();
+}
+
+// Method 1 is declared never-blocking; method 2 is not and sleeps for the
+// milliseconds in its request.  Both answer whether they ran on a thread
+// that must not block, i.e. on the event loop.
+struct ProbeService {
+  RpcDispatcher dispatcher;
+  std::atomic<int> sleeping{0};
+
+  ProbeService() {
+    dispatcher.Register(
+        1,
+        [](ByteReader&, ByteWriter& resp) {
+          resp.PutU8(MustNotBlock() ? 1 : 0);
+          return Status::Ok();
+        },
+        /*never_blocks=*/true);
+    dispatcher.Register(2, [this](ByteReader& req, ByteWriter& resp) {
+      resp.PutU8(MustNotBlock() ? 1 : 0);
+      uint32_t ms = req.remaining() >= 4 ? req.GetU32() : 0;
+      sleeping.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      return Status::Ok();
+    });
+  }
+};
+
+bool RanOnLoop(Transport& t, NodeId node, uint16_t method) {
+  std::vector<uint8_t> resp;
+  Status st = t.Call(node, method, {}, &resp);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return st.ok() && resp.size() == 1 && resp[0] == 1;
+}
+
+// Wraps every handler it registers, as a metering decorator does.
+class WrappingTransport : public Transport {
+ public:
+  explicit WrappingTransport(Transport* inner) : inner_(inner) {}
+
+  Status Call(NodeId dest, uint16_t method, std::span<const uint8_t> request,
+              std::vector<uint8_t>* response) override {
+    return inner_->Call(dest, method, request, response);
+  }
+  void RegisterNode(NodeId node, RpcHandler handler) override {
+    inner_->RegisterNode(
+        node, [handler = std::move(handler)](uint16_t method, ByteReader& req,
+                                             ByteWriter& resp) {
+          return handler(method, req, resp);
+        });
+  }
+  void UnregisterNode(NodeId node) override { inner_->UnregisterNode(node); }
+
+ private:
+  Transport* inner_;
+};
+
+TEST(TcpTransportTest, DeclaredMethodRunsOnTheLoopWhileThePoolSleeps) {
+  ProbeService svc;
+  TcpTransport t;
+  svc.dispatcher.Serve(&t, 7);
+  const uint64_t loop0 = DispatchCount("loop");
+  const uint64_t pool0 = DispatchCount("pool");
+
+  std::thread sleeper([&t] {
+    ByteWriter w;
+    w.PutU32(300);
+    std::vector<uint8_t> resp;
+    ASSERT_TRUE(t.Call(7, 2, w.bytes(), &resp).ok());
+    EXPECT_EQ(resp.at(0), 0) << "undeclared method ran on the loop";
+  });
+  while (svc.sleeping.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t start = NowMicros();
+  EXPECT_TRUE(RanOnLoop(t, 7, 1));
+  EXPECT_LT(NowMicros() - start, 150'000u)
+      << "the declared method waited for the sleeping one";
+  sleeper.join();
+  EXPECT_EQ(DispatchCount("loop") - loop0, 1u);
+  EXPECT_EQ(DispatchCount("pool") - pool0, 1u);
+}
+
+TEST(TcpTransportTest, NeverBlockingDeclarationSurvivesDecorators) {
+  ProbeService svc;
+  TcpTransport t;
+  WrappingTransport wrapped(&t);
+  CircuitBreakerTransport breaker(&wrapped, {});
+  svc.dispatcher.Serve(&breaker, 7);
+  EXPECT_TRUE(RanOnLoop(t, 7, 1));
+  EXPECT_FALSE(RanOnLoop(t, 7, 2));
+  // A handler registered directly, not through a dispatcher, stays on the
+  // pool: it may block.
+  t.RegisterNode(8, [](uint16_t, ByteReader&, ByteWriter& resp) {
+    resp.PutU8(MustNotBlock() ? 1 : 0);
+    return Status::Ok();
+  });
+  EXPECT_FALSE(RanOnLoop(t, 8, 1));
+}
+
+TEST(TcpTransportTest, CallFromTheLoopFailsFastAndTheRequestReruns) {
+  TcpTransport t;
+  t.RegisterNode(8, EchoHandler());
+  std::atomic<int> attempts{0};
+  std::atomic<int> loop_status{-1};
+  RpcDispatcher d;
+  d.Register(
+      1,
+      [&](ByteReader&, ByteWriter& resp) {
+        attempts.fetch_add(1);
+        std::vector<uint8_t> echo;
+        Status st = t.Call(8, 1, EchoRequest("nested"), &echo);
+        if (MustNotBlock()) {
+          loop_status.store(static_cast<int>(st.code()));
+        }
+        if (st.ok()) {
+          resp.PutBytes(echo.data(), echo.size());
+        }
+        return st;
+      },
+      /*never_blocks=*/true);
+  d.Serve(&t, 7);
+  const uint64_t bounced0 = DispatchCount("bounced");
+
+  std::vector<uint8_t> resp;
+  ASSERT_TRUE(t.Call(7, 1, {}, &resp).ok());
+  ByteReader r(resp);
+  EXPECT_EQ(r.GetString(), "nested");
+  // The nested Call on the loop returned at once instead of deadlocking,
+  // and the handler's kWouldBlock sent the request to the pool.
+  EXPECT_EQ(loop_status.load(), static_cast<int>(StatusCode::kWouldBlock));
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_EQ(DispatchCount("bounced") - bounced0, 1u);
+  t.UnregisterNode(7);
 }
 
 }  // namespace
